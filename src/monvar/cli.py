@@ -12,41 +12,28 @@ import argparse
 import os
 import sys
 
-from .deduction import NO, UNKNOWN, YES, Derivation, derivable, load_identity_system
+from .deduction import NO, YES, Bounds, Derivation, derivable, load_identity_system
 from .lattices import (
     classify_element,
-    fixtures,
     is_cancellable_element,
     is_costandard_element,
     is_distributive_lattice,
     is_modular_element,
     is_modular_lattice,
     load_lattice,
-    partition_lattice,
+    named_lattice,
 )
 from .monoids import (
     LikelyInfinite,
     SearchCapExceeded,
-    cyclic_counter,
-    cyclic_group,
     find_counterexample,
-    free_lrb_monoid,
     is_commutative,
     is_completely_regular,
     load_monoid,
     monoid_index_period,
+    named_monoid,
 )
-from .varieties import (
-    FAILS,
-    HOLDS,
-    Bounds,
-    _d2_monoid,
-    _r_monoid,
-    _rop_monoid,
-    _rxrop_monoid,
-    decide_identity,
-    lookup,
-)
+from .varieties import FAILS, HOLDS, decide_identity, lookup
 from .verify import run_verification
 from .words import embeds, format_word, parse_identity, parse_word
 
@@ -68,28 +55,14 @@ def _yesno(flag: bool) -> str:
 # source resolution
 
 
-def _resolve_monoid(source: str):
-    builtin = {"D2": _d2_monoid, "R": _r_monoid, "Rop": _rop_monoid,
-               "RxRop": _rxrop_monoid}
-    if source in builtin:
-        return builtin[source]()
-    for prefix, fn in (("counter:", cyclic_counter), ("group:", cyclic_group),
-                       ("lrb:", free_lrb_monoid)):
-        if source.startswith(prefix):
-            return fn(int(source[len(prefix):]))
-    if os.path.exists(source):
-        return load_monoid(source)
-    raise KeyError(f"{source!r} is neither a builtin monoid nor a readable file")
-
-
-def _resolve_lattice(source: str):
-    if source in ("fig1", "fig2", "chainD"):
-        return fixtures()[source]
-    if source.startswith("part:"):
-        return partition_lattice(int(source[len("part:"):]))
-    if os.path.exists(source):
-        return load_lattice(source)
-    raise KeyError(f"{source!r} is neither a builtin lattice nor a readable file")
+def _resolve(source: str, named, load, kind: str):
+    """A builtin by name, else a readable file."""
+    try:
+        return named(source)
+    except KeyError:
+        if os.path.exists(source):
+            return load(source)
+    raise KeyError(f"{source!r} is neither a builtin {kind} nor a readable file")
 
 
 def _resolve_system(source: str):
@@ -111,13 +84,12 @@ def _resolve_system(source: str):
 
 
 def _cmd_check(args) -> int:
-    name = args.variety.replace("_", "").strip()
-    if name == "MON":
+    spec = lookup(args.variety)
+    if spec.name == "MON":
         raise _UsageError(
             "MON denotes the variety of all monoids: an identity holds there"
             " exactly when both sides are the same word, so compare the words"
             " directly instead of querying the catalog")
-    spec = lookup(name)
     ident = parse_identity(args.identity)
     verdict = decide_identity(spec, ident, Bounds(args.max_len, args.max_depth))
     print(f"{spec.name} |- {ident}: {verdict.value}")
@@ -133,7 +105,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_monoid_build(args) -> int:
-    m = _resolve_monoid(args.source)
+    m = _resolve(args.source, named_monoid, load_monoid, "monoid")
     m.validate()
     print(f"monoid {args.source}: {len(m)} elements")
     print("elements: " + " ".join(m.names))
@@ -141,7 +113,7 @@ def _cmd_monoid_build(args) -> int:
 
 
 def _cmd_monoid_satisfies(args) -> int:
-    m = _resolve_monoid(args.source)
+    m = _resolve(args.source, named_monoid, load_monoid, "monoid")
     ident = parse_identity(args.identity)
     cx = find_counterexample(m, ident, allow_large=args.allow_large)
     if cx is None:
@@ -154,7 +126,7 @@ def _cmd_monoid_satisfies(args) -> int:
 
 
 def _cmd_monoid_info(args) -> int:
-    m = _resolve_monoid(args.source)
+    m = _resolve(args.source, named_monoid, load_monoid, "monoid")
     ip = monoid_index_period(m)
     print(f"monoid {args.source}: {len(m)} elements")
     print(f"identity element: {m.names[m.one]}")
@@ -166,7 +138,7 @@ def _cmd_monoid_info(args) -> int:
 
 
 def _cmd_lattice(args) -> int:
-    lat = _resolve_lattice(args.source)
+    lat = _resolve(args.source, named_lattice, load_lattice, "lattice")
     wanted = [(label, fn) for label, fn, on in (
         ("modular", is_modular_element, args.modular),
         ("cancellable", is_cancellable_element, args.cancellable),
@@ -255,9 +227,9 @@ def _cmd_verify_paper(args) -> int:
 
 
 def _add_bounds(p):
-    p.add_argument("--max-len", type=int, default=24,
+    p.add_argument("--max-len", type=int, default=Bounds.max_len,
                    help="longest intermediate word the search may visit")
-    p.add_argument("--max-depth", type=int, default=48,
+    p.add_argument("--max-depth", type=int, default=Bounds.max_depth,
                    help="most rewrite steps the search may chain")
 
 

@@ -10,7 +10,7 @@ length bound) from a truncated one ("unknown").
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 from .words import (
@@ -24,6 +24,15 @@ from .words import (
 YES = "yes"
 NO = "no-within-bounds"
 UNKNOWN = "unknown"
+
+
+@dataclass(frozen=True)
+class Bounds:
+    """Search limits; `derivable` and the CLI take their defaults from here."""
+
+    max_len: int = 24
+    max_depth: int = 48
+    max_candidates: int = 100_000
 
 
 class DerivationError(ValueError):
@@ -253,7 +262,8 @@ class SearchResult:
 
 
 def derivable(u: str, v: str, sys: IdentitySystem,
-              max_len: int = 24, max_depth: int = 48) -> SearchResult:
+              max_len: int = Bounds.max_len,
+              max_depth: int = Bounds.max_depth) -> SearchResult:
     """Breadth-first search for a derivation u ->* v within the bounds.
 
     YES carries a witness derivation.  NO means the rewrite closure of u

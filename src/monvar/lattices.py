@@ -375,3 +375,14 @@ def fixtures() -> dict:
     for key, fname in _FIXTURE_FILES.items():
         out[key] = parse_lattice((data / fname).read_text(encoding="utf-8"))
     return out
+
+
+def named_lattice(name: str) -> FiniteLattice:
+    """A builtin lattice: fig1, fig2, chainD or part:<k>.
+
+    Raises KeyError for any other name."""
+    if name in _FIXTURE_FILES:
+        return fixtures()[name]
+    if name.startswith("part:"):
+        return partition_lattice(int(name[len("part:"):]))
+    raise KeyError(f"unknown lattice {name!r}")

@@ -13,6 +13,7 @@ import itertools
 import math
 from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -302,6 +303,26 @@ def cyclic_group(m: int) -> FiniteMonoid:
     names = ["1"] + [f"g{i}" if i > 1 else "g" for i in range(1, m)]
     table = np.fromfunction(lambda i, j: (i + j) % m, (m, m), dtype=np.int64)
     return FiniteMonoid(names, table, one=0, check=False)
+
+
+@lru_cache(maxsize=None)
+def named_monoid(name: str) -> FiniteMonoid:
+    """A builtin monoid: D2, R, Rop, RxRop, counter:<n>, group:<m> or lrb:<k>.
+
+    Raises KeyError for any other name."""
+    if name == "D2":
+        return from_presentation(presentation("a b", "a2=0", "b2=0", "bab=0"))
+    if name == "R":
+        return from_presentation(presentation("a b", "a3=0", "b2=0", "ba=0"))
+    if name == "Rop":
+        return opposite(named_monoid("R"))
+    if name == "RxRop":
+        return direct_product(named_monoid("R"), named_monoid("Rop"))
+    for prefix, build in (("counter:", cyclic_counter), ("group:", cyclic_group),
+                          ("lrb:", free_lrb_monoid)):
+        if name.startswith(prefix):
+            return build(int(name[len(prefix):]))
+    raise KeyError(f"unknown monoid {name!r}")
 
 
 # ---------------------------------------------------------------------------

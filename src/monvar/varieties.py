@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 from .deduction import (
     NO,
+    UNKNOWN,
     YES,
-    Derivation,
+    Bounds,
     IdentitySystem,
     derivable,
     expand,
@@ -26,21 +27,16 @@ from .deduction import (
 )
 from .monoids import (
     FiniteMonoid,
-    cyclic_counter,
-    cyclic_group,
-    direct_product,
+    SearchCapExceeded,
     find_counterexample,
-    free_lrb_monoid,
-    from_presentation,
     from_table,
-    opposite,
-    presentation,
+    monoid_index_period,
+    named_monoid,
 )
 from .words import Identity, initial_part, occ, parse_word, iter_words
 
 HOLDS = "holds"
 FAILS = "fails"
-UNKNOWN = "unknown"
 
 RULE_LRB = "LRB-ini"
 RULE_COM = "COM-occ"
@@ -49,13 +45,6 @@ RULE_CN = "Cn-cappedocc"
 RULE_AM = "Am-modocc"
 RULE_MODEL = "finite-model"
 RULE_DEDUCTION = "deduction-only"
-
-
-@dataclass(frozen=True)
-class Bounds:
-    max_len: int = 24
-    max_depth: int = 48
-    max_candidates: int = 100_000
 
 
 DEFAULT_BOUNDS = Bounds()
@@ -142,36 +131,6 @@ def _semilattice_2():
     return from_table(["1", "e"], [["1", "e"], ["e", "e"]], "1")
 
 
-@lru_cache(maxsize=None)
-def _counter(n):
-    return cyclic_counter(n)
-
-
-@lru_cache(maxsize=None)
-def _group(m):
-    return cyclic_group(m)
-
-
-@lru_cache(maxsize=None)
-def _d2_monoid():
-    return from_presentation(presentation("a b", "a2=0", "b2=0", "bab=0"))
-
-
-@lru_cache(maxsize=None)
-def _r_monoid():
-    return from_presentation(presentation("a b", "a3=0", "b2=0", "ba=0"))
-
-
-@lru_cache(maxsize=None)
-def _rop_monoid():
-    return opposite(_r_monoid())
-
-
-@lru_cache(maxsize=None)
-def _rxrop_monoid():
-    return direct_product(_r_monoid(), _rop_monoid())
-
-
 D2_BASIS = ("x3=x2", "x3yzt=yxzxtx", "xyzxty=yxzxty", "xzxyty=xzyxty", "xtyzxy=xtyzyx")
 RVROP_BASIS = ("x4=x3", "x3yzt=yxzxtx", "xyzxty=yxzxty", "xzxyty=xzyxty", "xtyzxy=xtyzyx")
 D_BASIS = ("x2=x3", "x2y=xyx", "xyx=yx2")
@@ -184,7 +143,8 @@ def model_contains_basis(m: FiniteMonoid, basis: IdentitySystem) -> bool:
 
 def _refuters(basis: IdentitySystem) -> tuple[FiniteMonoid, ...]:
     """Registered members of the variety, for refuting identities."""
-    pool = (_semilattice_2(), _counter(2), _counter(3), _group(2), _group(3))
+    pool = (_semilattice_2(), named_monoid("counter:2"), named_monoid("counter:3"),
+            named_monoid("group:2"), named_monoid("group:3"))
     return tuple(m for m in pool if model_contains_basis(m, basis))
 
 
@@ -204,7 +164,7 @@ def _fixed_entries() -> dict[str, VarietySpec]:
     d_basis = system(*D_BASIS, name="D")
     add(VarietySpec("D", basis=d_basis, rule=RULE_DEDUCTION,
                     refutation_models=_refuters(d_basis)))
-    add(VarietySpec("D2", basis=system(*D2_BASIS, name="D2"), model=_d2_monoid(),
+    add(VarietySpec("D2", basis=system(*D2_BASIS, name="D2"), model=named_monoid("D2"),
                     rule=RULE_MODEL))
     e_basis = system(*E_BASIS, name="E")
     add(VarietySpec("E", basis=e_basis, rule=RULE_DEDUCTION,
@@ -212,15 +172,15 @@ def _fixed_entries() -> dict[str, VarietySpec]:
     k_basis = IdentitySystem(frozenset([K_IDENTITY]), "K")
     add(VarietySpec("K", basis=k_basis, rule=RULE_DEDUCTION,
                     refutation_models=_refuters(k_basis)))
-    add(VarietySpec("LRB", basis=system("xy=xyx"), model=free_lrb_monoid(3),
+    add(VarietySpec("LRB", basis=system("xy=xyx"), model=named_monoid("lrb:3"),
                     rule=RULE_LRB))
     q_basis = system("yxyzxy=yxzxyxz", name="Q")
     add(VarietySpec("Q", basis=q_basis, rule=RULE_DEDUCTION,
                     refutation_models=_refuters(q_basis)))
-    add(VarietySpec("R", model=_r_monoid(), rule=RULE_MODEL))
-    add(VarietySpec("Rop", model=_rop_monoid(), rule=RULE_MODEL))
+    add(VarietySpec("R", model=named_monoid("R"), rule=RULE_MODEL))
+    add(VarietySpec("Rop", model=named_monoid("Rop"), rule=RULE_MODEL))
     add(VarietySpec("RvRop", basis=system(*RVROP_BASIS, name="RvRop"),
-                    model=_rxrop_monoid(), rule=RULE_MODEL))
+                    model=named_monoid("RxRop"), rule=RULE_MODEL))
     return entries
 
 
@@ -229,7 +189,8 @@ def variety_C(n: int) -> VarietySpec:
     if n < 2:
         raise ValueError("variety_C needs n >= 2")
     basis = system(f"x{n}=x{n + 1}", "xy=yx", name=f"C{n}")
-    return VarietySpec(f"C{n}", basis=basis, model=_counter(n), rule=RULE_CN, param=n)
+    return VarietySpec(f"C{n}", basis=basis, model=named_monoid(f"counter:{n}"),
+                       rule=RULE_CN, param=n)
 
 
 def variety_B(n: int) -> VarietySpec:
@@ -245,7 +206,8 @@ def variety_A(m: int) -> VarietySpec:
     if m < 1:
         raise ValueError("variety_A needs m >= 1")
     basis = system("xy=yx", Identity("x" * m, ""), name=f"A{m}")
-    return VarietySpec(f"A{m}", basis=basis, model=_group(m), rule=RULE_AM, param=m)
+    return VarietySpec(f"A{m}", basis=basis, model=named_monoid(f"group:{m}"),
+                       rule=RULE_AM, param=m)
 
 
 def variety_Z(n: int, v: str) -> VarietySpec:
@@ -323,9 +285,12 @@ def decide_identity(v: VarietySpec, ident: Identity,
         if _occ_vector(lhs, letters) == _occ_vector(rhs, letters):
             return Verdict(HOLDS, reason="equal occurrence counts")
         bad = next(c for c in letters if occ(lhs, c) != occ(rhs, c))
-        witness_model = _counter(max(occ(lhs, bad), occ(rhs, bad)) + 1)
-        return Verdict(FAILS, witness=find_counterexample(witness_model, ident),
-                       reason=f"occurrence counts differ at {bad}")
+        witness_model = named_monoid(f"counter:{max(occ(lhs, bad), occ(rhs, bad)) + 1}")
+        try:
+            witness = find_counterexample(witness_model, ident)
+        except SearchCapExceeded:  # the rule has decided; the witness is optional
+            witness = None
+        return Verdict(FAILS, witness=witness, reason=f"occurrence counts differ at {bad}")
 
     if v.rule == RULE_CN:
         n = v.param
@@ -384,8 +349,6 @@ def is_isoterm_power(v: VarietySpec, n: int) -> bool:
     violates x^n = x^(n+m) for every positive m."""
     if v.model is None:
         raise ValueError(f"variety {v.name} has no registered generating monoid")
-    from .monoids import monoid_index_period
-
     return monoid_index_period(v.model).index > n
 
 

@@ -32,7 +32,13 @@ from .lattices import (
     jezek_modular,
     partition_lattice,
 )
-from .monoids import cyclic_counter, cyclic_group, find_counterexample, free_lrb_monoid
+from .monoids import (
+    cyclic_counter,
+    cyclic_group,
+    find_counterexample,
+    free_lrb_monoid,
+    named_monoid,
+)
 from .varieties import (
     D2_BASIS,
     D_BASIS,
@@ -43,10 +49,6 @@ from .varieties import (
     K_RHS,
     OUTSIDE,
     RVROP_BASIS,
-    Bounds,
-    _d2_monoid,
-    _r_monoid,
-    _rxrop_monoid,
     decide_identity,
     enumerate_W,
     is_isoterm_power,
@@ -221,17 +223,17 @@ def _check_abelian_rule():
 
 
 def _check_presented_bases():
-    d2 = _d2_monoid()
+    d2 = named_monoid("D2")
     assert set(d2.names) == {"1", "a", "b", "ab", "ba", "aba", "0"}
     d2.validate()
     assert model_contains_basis(d2, system(*D2_BASIS)), "7-element monoid breaks its basis"
     assert find_counterexample(d2, parse_identity("x2=x")) is not None
 
-    r = _r_monoid()
+    r = named_monoid("R")
     assert set(r.names) == {"1", "a", "b", "a2", "ab", "a2b", "0"}
     r.validate()
 
-    rxr = _rxrop_monoid()
+    rxr = named_monoid("RxRop")
     assert len(rxr) == 49
     rxr.validate()
     assert model_contains_basis(rxr, system(*RVROP_BASIS)), "product breaks its basis"

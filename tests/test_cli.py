@@ -24,6 +24,16 @@ def test_check_fails_with_witness(capsys):
     assert "x -> a" in out
 
 
+def test_check_com_witness_beyond_search_cap_is_omitted(capsys):
+    code, out, _ = run(capsys, "check", "COM", "x200yzt=yzt")
+    assert code == 1
+    assert "fails" in out
+    assert "counterexample:" not in out
+    code, out, _ = run(capsys, "check", "COM", "x30yzt=yzt")
+    assert code == 1
+    assert "counterexample: t -> 1, x -> a, y -> 1, z -> 1" in out
+
+
 def test_check_group_identity(capsys):
     code, out, _ = run(capsys, "check", "A2", "x2y=y")
     assert code == 0

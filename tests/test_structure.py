@@ -1,0 +1,94 @@
+"""Each builtin name and each default bound has one home in the package."""
+
+import argparse
+import ast
+import inspect
+import re
+from pathlib import Path
+
+import pytest
+
+import monvar
+from monvar import cli
+from monvar.deduction import Bounds
+from monvar.lattices import FiniteLattice, named_lattice
+from monvar.monoids import FiniteMonoid, named_monoid
+
+PACKAGE = Path(monvar.__file__).parent
+
+
+def _private_imports(path):
+    """(module, name) for each _-prefixed name imported from another monvar module."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        if node.level == 0 and not (node.module or "").startswith("monvar"):
+            continue
+        found += [(node.module, a.name) for a in node.names if a.name.startswith("_")]
+    return found
+
+
+def test_no_module_imports_a_private_name_from_another():
+    offenders = {p.name: _private_imports(p) for p in sorted(PACKAGE.glob("*.py"))}
+    assert {name: hits for name, hits in offenders.items() if hits} == {}
+
+
+def _subparser(*path):
+    parser = cli._build_parser()
+    for name in path:
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        parser = sub.choices[name]
+    return parser
+
+
+def _option(parser, dest):
+    return next(a for a in parser._actions if a.dest == dest)
+
+
+def test_bound_defaults_come_from_bounds():
+    defaults = Bounds()
+    assert monvar.Bounds is Bounds and monvar.varieties.Bounds is Bounds
+    params = inspect.signature(monvar.derivable).parameters
+    assert params["max_len"].default == defaults.max_len
+    assert params["max_depth"].default == defaults.max_depth
+    for command in ("check", "derive"):
+        parser = _subparser(command)
+        assert _option(parser, "max_len").default == defaults.max_len
+        assert _option(parser, "max_depth").default == defaults.max_depth
+
+
+@pytest.mark.parametrize("variety, monoid", [
+    ("D2", "D2"), ("R", "R"), ("Rop", "Rop"), ("RvRop", "RxRop"), ("LRB", "lrb:3"),
+    ("C3", "counter:3"), ("A2", "group:2"),
+])
+def test_catalog_models_are_the_named_monoids(variety, monoid):
+    assert monvar.lookup(variety).model is named_monoid(monoid)
+
+
+def _builtins(help_text):
+    """Names listed as 'builtin (a, b, family:<n>) or a file', families at 3."""
+    listed = re.search(r"builtin \((.*)\) or a file", help_text).group(1)
+    return [re.sub(r"<\w>", "3", name) for name in listed.split(", ")]
+
+
+def test_every_builtin_in_the_cli_help_resolves():
+    for action in ("build", "satisfies", "info"):
+        names = _builtins(_option(_subparser("monoid", action), "source").help)
+        assert names == ["D2", "R", "Rop", "RxRop", "counter:3", "group:3", "lrb:3"]
+        for name in names:
+            assert isinstance(named_monoid(name), FiniteMonoid)
+    names = _builtins(_option(_subparser("lattice"), "source").help)
+    assert names == ["fig1", "fig2", "chainD", "part:3"]
+    for name in names:
+        assert isinstance(named_lattice(name), FiniteLattice)
+
+
+def test_unknown_builtin_names_raise_keyerror_and_exit_65(capsys):
+    for resolve in (named_monoid, named_lattice):
+        with pytest.raises(KeyError):
+            resolve("nosuch")
+    assert cli.main(["monoid", "info", "nosuch"]) == 65
+    assert cli.main(["lattice", "nosuch"]) == 65
+    assert "neither a builtin lattice nor a readable file" in capsys.readouterr().err
