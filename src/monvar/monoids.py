@@ -3,15 +3,17 @@
 Elements are indices 0..n-1 with display names; tables are numpy int
 matrices.  Presentations with zero use factor-exclusion normal forms
 (a word is zero iff it contains a relator factor); general relations
-are oriented length-lexicographically and applied to a fixpoint, with
-loud failure when that does not produce a closed associative table.
+are oriented length-lexicographically and applied to a fixpoint.  The
+table is composed from the right Cayley graph of the normal forms
+(Froidure & Pin 1997), and a table that breaks a defining relation or
+associativity is refused.  Associativity is checked with Light's test
+over a generating set, O(n^2) per generator.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -131,7 +133,14 @@ class FiniteMonoid:
                 bad = next(i for i in range(n) if t[z, i] != z or t[i, z] != z)
                 raise InvalidTable(
                     f"{self.names[z]!r} is not absorbing (witness {self.names[bad]!r})")
-        for a in range(n):  # chunked associativity: (a*b)*c vs a*(b*c)
+        # Light's test: (x*g)*y == x*(g*y) for every g of a generating set
+        # already gives associativity (Clifford & Preston I, 1.2); blocks of
+        # about 2^16 cells keep the temporaries in cache
+        step = max(1, 2**16 // n)
+        if all(np.array_equal(t[t[lo:lo + step, g]], np.take(t[lo:lo + step], t[g], axis=1))
+               for g in _generating_set(t, self.one) for lo in range(0, n, step)):
+            return
+        for a in range(n):  # full scan, for the first witness in (a, b, c) order
             left = t[t[a], :]
             right = t[a][t]
             if not np.array_equal(left, right):
@@ -139,6 +148,27 @@ class FiniteMonoid:
                 raise InvalidTable(
                     "associativity fails at "
                     f"({self.names[a]!r}, {self.names[b]!r}, {self.names[c]!r})")
+
+
+def _generating_set(t: np.ndarray, one: int) -> list[int]:
+    """Greedy generators: each element, in index order, that right
+    multiplication by the earlier picks does not reach from the identity."""
+    reached = np.zeros(len(t), dtype=bool)
+    reached[one] = True
+    gens: list[int] = []
+    for x in range(len(t)):
+        if reached[x]:
+            continue
+        gens.append(x)
+        # everything reached so far times x, then new elements times all picks
+        frontier, by = np.flatnonzero(reached), [x]
+        while frontier.size:
+            fresh = np.zeros_like(reached)
+            fresh[t[np.ix_(frontier, by)]] = True
+            fresh &= ~reached
+            reached |= fresh
+            frontier, by = np.flatnonzero(fresh), gens
+    return gens
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +206,17 @@ def _find_zero(m: FiniteMonoid) -> int | None:
 
 
 def from_presentation(pres: Presentation, cap: int = 10000) -> FiniteMonoid:
-    """Enumerate normal forms breadth-first and tabulate multiplication."""
+    """Enumerate normal forms breadth-first and tabulate multiplication.
+
+    Each relation u = v is oriented length-lexicographically, larger side to
+    smaller, and the rules are applied to a fixpoint; a word containing the
+    left side of a relation u = 0 is the zero.  Only the right multiples of
+    each normal form by the generators are reduced (the right Cayley graph);
+    every table column is composed from the column of the element's BFS
+    parent.  A table that breaks a defining relation, on which a generator
+    acts unlike its own normal form, or that is not associative is refused
+    with UnsupportedPresentation: the oriented rules were not confluent.
+    """
     zero_relators = [lhs for lhs, rhs in pres.relations if rhs is None]
     rules = []
     for lhs, rhs in pres.relations:
@@ -197,44 +237,54 @@ def from_presentation(pres: Presentation, cap: int = 10000) -> FiniteMonoid:
             else:
                 return word
 
+    gens = pres.generators
     elems = [""]
-    seen = {""}
-    queue = deque([""])
-    while queue:
-        base = queue.popleft()
-        for g in pres.generators:
+    pos = {"": 0}
+    right = []  # right[i][k]: index of elems[i]*gens[k], -1 for the zero
+    reached_by = []  # reached_by[j - 1] = (i, k): elems[j] was found as elems[i]*gens[k]
+    for i, base in enumerate(elems):  # elems grows while it is read: the BFS queue
+        row = []
+        for k, g in enumerate(gens):
             nf = reduce(base + g)
-            if nf is None or nf in seen:
-                continue
-            if len(elems) >= cap:
-                raise LikelyInfinite(
-                    f"presentation produced more than {cap} normal forms")
-            seen.add(nf)
-            elems.append(nf)
-            queue.append(nf)
+            if nf is not None and nf not in pos:
+                if len(elems) >= cap:
+                    raise LikelyInfinite(
+                        f"presentation produced more than {cap} normal forms")
+                pos[nf] = len(elems)
+                elems.append(nf)
+                reached_by.append((i, k))
+            row.append(-1 if nf is None else pos[nf])
+        right.append(row)
 
     names = [format_word(w) for w in elems]
+    right = np.array(right, dtype=np.int32).reshape(len(elems), len(gens))
     zero = None
     if pres.has_zero:
+        zero = len(names)
         names.append("0")
-        zero = len(names) - 1
-    pos = {w: i for i, w in enumerate(elems)}
-    n = len(names)
-    table = np.empty((n, n), dtype=np.int32)
-    if zero is not None:
-        table[zero, :] = zero
-        table[:, zero] = zero
-    for i, u in enumerate(elems):
-        for j, v in enumerate(elems):
-            nf = reduce(u + v)
-            if nf is None:
-                table[i, j] = zero
-            elif nf in pos:
-                table[i, j] = pos[nf]
-            else:
-                raise UnsupportedPresentation(
-                    f"normal forms are not closed under product ({u!r}*{v!r} -> {nf!r});"
-                    " the oriented rules are not confluent")
+        right = np.vstack([right, np.full((1, len(gens)), zero, dtype=np.int32)])
+        right[right < 0] = zero
+
+    letter = {g: k for k, g in enumerate(gens)}
+
+    def walk(word):
+        i = 0
+        for c in word:
+            i = int(right[i, letter[c]])
+        return i
+
+    for lhs, rhs in pres.relations:
+        if walk(lhs) != (zero if rhs is None else walk(rhs)):
+            shown = "0" if rhs is None else format_word(rhs)
+            raise UnsupportedPresentation(
+                f"the table breaks the defining relation {format_word(lhs)} = {shown};"
+                " the oriented rules are not confluent")
+    table = _cayley_table(right, reached_by)
+    for k, g in enumerate(gens):
+        if not np.array_equal(table[:, right[0, k]], right[:, k]):
+            raise UnsupportedPresentation(
+                f"generator {g!r} acts unlike its normal form {names[right[0, k]]!r};"
+                " the oriented rules are not confluent")
     try:
         return FiniteMonoid(names, table, one=0, zero=zero, check=True)
     except InvalidTable as exc:
@@ -242,6 +292,22 @@ def from_presentation(pres: Presentation, cap: int = 10000) -> FiniteMonoid:
             raise  # factor exclusion is exact; a failure here is a real bug
         raise UnsupportedPresentation(
             f"oriented rules give a non-associative table: {exc}") from exc
+
+
+def _cayley_table(right: np.ndarray, reached_by) -> np.ndarray:
+    """Multiplication table from the right Cayley graph of a monoid.
+
+    right[i, k] is element i times generator k; reached_by[j - 1] = (i, k)
+    says that element j is element i < j times generator k.  Element 0 is
+    the identity.  A last element that reached_by does not list is the zero,
+    and right must send it to itself."""
+    n = len(right)
+    action = np.ascontiguousarray(right.T)
+    cols = np.full((n, n), n - 1, dtype=np.int32)
+    cols[0] = np.arange(n)
+    for j, (i, k) in enumerate(reached_by, 1):
+        cols[j] = action[k][cols[i]]  # x * elem_j = (x * elem_i) * gen_k
+    return np.ascontiguousarray(cols.T)
 
 
 def direct_product(m: FiniteMonoid, n: FiniteMonoid) -> FiniteMonoid:
@@ -272,12 +338,11 @@ def free_lrb_monoid(k: int) -> FiniteMonoid:
     for r in range(1, k + 1):
         elems.extend("".join(p) for p in itertools.permutations(letters, r))
     pos = {w: i for i, w in enumerate(elems)}
-    n = len(elems)
-    table = np.empty((n, n), dtype=np.int32)
-    for i, u in enumerate(elems):
-        for j, v in enumerate(elems):
-            table[i, j] = pos[initial_part(u + v)]
-    return FiniteMonoid(["1"] + elems[1:], table, one=0, check=False)
+    right = np.array([[pos[initial_part(w + c)] for c in letters] for w in elems],
+                     dtype=np.int32)
+    reached_by = [(pos[w[:-1]], letters.index(w[-1])) for w in elems[1:]]
+    return FiniteMonoid(["1"] + elems[1:], _cayley_table(right, reached_by), one=0,
+                        check=False)
 
 
 def cyclic_counter(n: int) -> FiniteMonoid:
@@ -285,16 +350,9 @@ def cyclic_counter(n: int) -> FiniteMonoid:
     if n < 1:
         raise ValueError("cyclic_counter needs n >= 1")
     names = ["1"] + [format_word("a" * i) for i in range(1, n)] + ["0"]
-    size = n + 1
-    zero = n
-    table = np.empty((size, size), dtype=np.int32)
-    for i in range(size):
-        for j in range(size):
-            if i == zero or j == zero or i + j >= n:
-                table[i, j] = zero
-            else:
-                table[i, j] = i + j
-    return FiniteMonoid(names, table, one=0, zero=zero, check=False)
+    exps = np.arange(n + 1, dtype=np.int32)
+    table = np.minimum(np.add.outer(exps, exps), n)  # a^i a^j, clamped to the zero
+    return FiniteMonoid(names, table, one=0, zero=n, check=False)
 
 
 def cyclic_group(m: int) -> FiniteMonoid:

@@ -1,4 +1,7 @@
+import itertools
 import random
+import time
+from collections import deque
 
 import numpy as np
 import pytest
@@ -7,6 +10,7 @@ from monvar.monoids import (
     FiniteMonoid,
     InvalidTable,
     LikelyInfinite,
+    Presentation,
     SearchCapExceeded,
     UnsupportedPresentation,
     cyclic_counter,
@@ -26,7 +30,7 @@ from monvar.monoids import (
     presentation,
     satisfies_identity,
 )
-from monvar.words import parse_identity, reverse
+from monvar.words import format_word, initial_part, parse_identity, reverse
 
 D2_PRES = presentation("a b", "a2=0", "b2=0", "bab=0")
 R_PRES = presentation("a b", "a3=0", "b2=0", "ba=0")
@@ -82,6 +86,193 @@ def test_from_presentation_unsupported():
     # the oriented rules a5->a2, a4->a3 are not confluent
     with pytest.raises(UnsupportedPresentation):
         from_presentation(presentation("a", "a5=a2", "a4=a3"))
+
+
+def test_from_presentation_refuses_a_broken_relation():
+    # a4->a2 always wins over a4->a, leaving {1, a, a2, a3} with a4 = a2 != a;
+    # the true monoid is {1, a}
+    with pytest.raises(UnsupportedPresentation, match="relation a4 = a;"):
+        from_presentation(presentation("a", "a4=a2", "a4=a"))
+    # the zero relator hides a3 = a, leaving a3 = 0 != a
+    with pytest.raises(UnsupportedPresentation, match="relation a3 = a;"):
+        from_presentation(presentation("a", "a3=0", "a3=a"))
+
+
+def test_from_presentation_refuses_a_generator_acting_unlike_its_element():
+    # b -> a makes a the element of b, but ab -> c is applied before b -> a:
+    # a*b = c while a*a = 0, although b = a and ab = c force c = 0
+    pres = presentation("a b c", "ab=c", "b=a", "a2=0", "ac=0", "ca=0", "c2=0",
+                        "cb=0")
+    with pytest.raises(UnsupportedPresentation, match="generator 'b'"):
+        from_presentation(pres)
+
+
+def _pairwise_oracle(pres, cap):
+    """The construction from_presentation used before the right Cayley graph:
+    reduce u*v for all n^2 pairs of normal forms.  Returns the names, the
+    unvalidated table, the zero and the element of each generator."""
+    zero_relators = [lhs for lhs, rhs in pres.relations if rhs is None]
+    rules = []
+    for lhs, rhs in pres.relations:
+        if rhs is None or lhs == rhs:
+            continue
+        big, small = sorted((lhs, rhs), key=lambda w: (len(w), w), reverse=True)
+        rules.append((big, small))
+
+    def reduce(word):
+        while True:
+            if any(r in word for r in zero_relators):
+                return None
+            for big, small in rules:
+                k = word.find(big)
+                if k >= 0:
+                    word = word[:k] + small + word[k + len(big):]
+                    break
+            else:
+                return word
+
+    elems, seen, queue = [""], {""}, deque([""])
+    while queue:
+        base = queue.popleft()
+        for g in pres.generators:
+            nf = reduce(base + g)
+            if nf is None or nf in seen:
+                continue
+            if len(elems) >= cap:
+                raise LikelyInfinite(f"presentation produced more than {cap} normal forms")
+            seen.add(nf)
+            elems.append(nf)
+            queue.append(nf)
+    names = [format_word(w) for w in elems]
+    zero = None
+    if pres.has_zero:
+        names.append("0")
+        zero = len(names) - 1
+    pos = {w: i for i, w in enumerate(elems)}
+    n = len(names)
+    table = np.empty((n, n), dtype=np.int32)
+    if zero is not None:
+        table[zero, :] = zero
+        table[:, zero] = zero
+    for i, u in enumerate(elems):
+        for j, v in enumerate(elems):
+            nf = reduce(u + v)
+            table[i, j] = zero if nf is None else pos[nf]
+    gen_elems = {g: zero if reduce(g) is None else pos[reduce(g)] for g in pres.generators}
+    return names, table, zero, gen_elems
+
+
+def _is_monoid_table(table, zero):
+    t = table
+    ident = np.arange(len(t))
+    return (np.array_equal(t[0], ident) and np.array_equal(t[:, 0], ident)
+            and (zero is None or ((t[zero] == zero).all() and (t[:, zero] == zero).all()))
+            and np.array_equal(t[t], t[:, t]))  # (ab)c == a(bc) for all a, b, c
+
+
+def _satisfies_relations(table, zero, gen_elems, pres):
+    def value(word):
+        i = 0
+        for c in word:
+            i = table[i, gen_elems[c]]
+        return i
+    return all(value(lhs) == (zero if rhs is None else value(rhs))
+               for lhs, rhs in pres.relations)
+
+
+def _random_presentation(rng):
+    """1-3 generators, a power relation for each, random relations between
+    letter pairs, and up to two random relations between short words."""
+    gens = "abc"[:rng.randint(1, 3)]
+
+    def word(lo, hi):
+        return "".join(rng.choice(gens) for _ in range(rng.randint(lo, hi)))
+
+    rels = []
+    for g in gens:
+        e = rng.randint(2, 5)
+        rels.append((g * e, None if rng.random() < 0.4 else g * rng.randint(0, e - 1)))
+    for x, y in itertools.permutations(gens, 2):
+        if rng.random() < 0.5:
+            rels.append((x + y, rng.choice((None, y + x, x, y))))
+    for _ in range(rng.randint(0, 2)):
+        rels.append((word(1, 4), None if rng.random() < 0.3 else word(0, 3)))
+    return Presentation(tuple(gens), tuple(rels))
+
+
+def test_from_presentation_matches_pairwise_oracle():
+    rng = random.Random(409)
+    cap = 60
+    outcomes = {"built": 0, "refused": 0, "infinite": 0}
+    for _ in range(400):
+        pres = _random_presentation(rng)
+        try:
+            names, table, zero, gen_elems = _pairwise_oracle(pres, cap)
+        except LikelyInfinite:
+            with pytest.raises(LikelyInfinite):
+                from_presentation(pres, cap=cap)
+            outcomes["infinite"] += 1
+            continue
+        oracle_ok = (_is_monoid_table(table, zero)
+                     and _satisfies_relations(table, zero, gen_elems, pres))
+        try:
+            m = from_presentation(pres, cap=cap)
+        except UnsupportedPresentation:
+            assert not oracle_ok, pres
+            outcomes["refused"] += 1
+            continue
+        assert oracle_ok, pres
+        assert m.names == tuple(names) and m.one == 0 and m.zero == zero
+        assert m.table.dtype == table.dtype and m.table.tobytes() == table.tobytes()
+        assert _satisfies_relations(m.table, m.zero, gen_elems, pres)
+        # the cap counts the normal forms, the zero aside
+        forms = len(m) - (zero is not None)
+        from_presentation(pres, cap=forms)
+        if forms > 1:
+            with pytest.raises(LikelyInfinite):
+                from_presentation(pres, cap=forms - 1)
+        outcomes["built"] += 1
+    assert min(outcomes.values()) >= 50, outcomes
+
+
+def _full_scan_message(names, t):
+    for a in range(len(t)):
+        left, right = t[t[a], :], t[a][t]
+        if not np.array_equal(left, right):
+            b, c = map(int, np.argwhere(left != right)[0])
+            return f"associativity fails at ({names[a]!r}, {names[b]!r}, {names[c]!r})"
+    return None
+
+
+def test_validate_witness_matches_full_scan():
+    rng = random.Random(131)
+    failing = 0
+    for _ in range(300):
+        n = rng.randint(2, 7)
+        t = np.array([[rng.randrange(n) for _ in range(n)] for _ in range(n)],
+                     dtype=np.int32)
+        t[0] = t[:, 0] = np.arange(n)
+        names = ["1"] + [f"e{i}" for i in range(1, n)]
+        expected = _full_scan_message(names, t)
+        if expected is None:
+            FiniteMonoid(names, t, one=0)
+            continue
+        failing += 1
+        with pytest.raises(InvalidTable) as exc:
+            FiniteMonoid(names, t, one=0)
+        assert str(exc.value) == expected
+    assert failing >= 200
+
+
+def test_presented_monoid_scales_past_a_thousand_elements():
+    gens = "abcd"
+    rels = [f"{g}6=0" for g in gens]
+    rels += [f"{b}{a}={a}{b}" for a, b in itertools.combinations(gens, 2)]
+    start = time.perf_counter()
+    m = from_presentation(presentation(" ".join(gens), *rels))
+    m.validate()
+    assert len(m) == 6 ** 4 + 1
+    assert time.perf_counter() - start < 5.0
 
 
 def test_from_table_and_invalid_tables():
@@ -156,6 +347,23 @@ def test_free_lrb_monoid():
         free_lrb_monoid(0)
     with pytest.raises(ValueError):
         free_lrb_monoid(9)
+
+
+def test_builtin_tables_match_pairwise_construction():
+    for k in range(1, 5):
+        elems = [""] + ["".join(p) for r in range(1, k + 1)
+                        for p in itertools.permutations("xyztabcd"[:k], r)]
+        pos = {w: i for i, w in enumerate(elems)}
+        table = np.array([[pos[initial_part(u + v)] for v in elems] for u in elems],
+                         dtype=np.int32)
+        m = free_lrb_monoid(k)
+        assert m.table.dtype == table.dtype and m.table.tobytes() == table.tobytes()
+    for n in range(1, 30):
+        table = np.array([[n if i == n or j == n or i + j >= n else i + j
+                           for j in range(n + 1)] for i in range(n + 1)], dtype=np.int32)
+        m = cyclic_counter(n)
+        assert m.table.dtype == table.dtype and m.table.tobytes() == table.tobytes()
+        assert m.zero == n
 
 
 def test_cyclic_counter():
