@@ -106,7 +106,6 @@ def _cmd_check(args) -> int:
 
 def _cmd_monoid_build(args) -> int:
     m = _resolve(args.source, named_monoid, load_monoid, "monoid")
-    m.validate()
     print(f"monoid {args.source}: {len(m)} elements")
     print("elements: " + " ".join(m.names))
     return 0

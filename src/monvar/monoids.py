@@ -80,8 +80,7 @@ class IndexPeriod:
 class FiniteMonoid:
     """Validated multiplication table with named elements."""
 
-    def __init__(self, names, table, one: int, zero: int | None = None,
-                 check: bool = True):
+    def __init__(self, names, table, one: int, zero: int | None = None):
         self.names = tuple(names)
         self.table = np.asarray(table, dtype=np.int32)
         self.one = one
@@ -89,8 +88,7 @@ class FiniteMonoid:
         self._index = {nm: i for i, nm in enumerate(self.names)}
         if len(self._index) != len(self.names):
             raise InvalidTable("element names are not distinct")
-        if check:
-            self.validate()
+        self.validate()
 
     def __len__(self):
         return len(self.names)
@@ -120,6 +118,9 @@ class FiniteMonoid:
             raise InvalidTable(f"table shape {t.shape} does not match {n} elements")
         if n and (t.min() < 0 or t.max() >= n):
             raise InvalidTable("table entry out of range")
+        for role, k in (("identity", self.one), ("zero", self.zero)):
+            if k is not None and not 0 <= k < n:
+                raise InvalidTable(f"{role} index {k} is out of range for {n} elements")
         ident = np.arange(n, dtype=t.dtype)
         if not (np.array_equal(t[self.one], ident) and np.array_equal(t[:, self.one], ident)):
             bad = next(i for i in range(n)
@@ -176,17 +177,12 @@ def _generating_set(t: np.ndarray, one: int) -> list[int]:
 
 
 def from_table(names, table, identity_name: str) -> FiniteMonoid:
-    """Build from a table of element names (or indices) and validate it."""
+    """Build from a table of element names; the zero is found, not declared."""
     index = {nm: i for i, nm in enumerate(names)}
-    if len(index) != len(names):
-        raise InvalidTable("element names are not distinct")
     if identity_name not in index:
         raise InvalidTable(f"identity element {identity_name!r} not among the names")
-    rows = []
-    for row in table:
-        rows.append([entry if isinstance(entry, int) else _lookup(index, entry)
-                     for entry in row])
-    m = FiniteMonoid(names, rows, index[identity_name], zero=None, check=True)
+    rows = [[_lookup(index, entry) for entry in row] for row in table]
+    m = FiniteMonoid(names, rows, index[identity_name])
     m.zero = _find_zero(m)
     return m
 
@@ -286,7 +282,7 @@ def from_presentation(pres: Presentation, cap: int = 10000) -> FiniteMonoid:
                 f"generator {g!r} acts unlike its normal form {names[right[0, k]]!r};"
                 " the oriented rules are not confluent")
     try:
-        return FiniteMonoid(names, table, one=0, zero=zero, check=True)
+        return FiniteMonoid(names, table, one=0, zero=zero)
     except InvalidTable as exc:
         if pres.has_zero and not rules:
             raise  # factor exclusion is exact; a failure here is a real bug
@@ -319,11 +315,11 @@ def direct_product(m: FiniteMonoid, n: FiniteMonoid) -> FiniteMonoid:
     zero = None
     if m.zero is not None and n.zero is not None:
         zero = m.zero * nn + n.zero
-    return FiniteMonoid(names, table, one, zero, check=False)
+    return FiniteMonoid(names, table, one, zero)
 
 
 def opposite(m: FiniteMonoid) -> FiniteMonoid:
-    return FiniteMonoid(m.names, m.table.T.copy(), m.one, m.zero, check=False)
+    return FiniteMonoid(m.names, m.table.T.copy(), m.one, m.zero)
 
 
 _INJECTIVE_LETTERS = "xyztabcd"
@@ -331,8 +327,8 @@ _INJECTIVE_LETTERS = "xyztabcd"
 
 def free_lrb_monoid(k: int) -> FiniteMonoid:
     """Words with all-distinct letters over k letters; u*v = initial_part(uv)."""
-    if not 1 <= k <= 8:
-        raise ValueError("free_lrb_monoid needs 1 <= k <= 8")
+    if not 1 <= k <= 6:  # lrb:7 has 13 700 elements, past from_presentation's cap
+        raise ValueError("free_lrb_monoid needs 1 <= k <= 6")
     letters = _INJECTIVE_LETTERS[:k]
     elems = [""]
     for r in range(1, k + 1):
@@ -341,26 +337,21 @@ def free_lrb_monoid(k: int) -> FiniteMonoid:
     right = np.array([[pos[initial_part(w + c)] for c in letters] for w in elems],
                      dtype=np.int32)
     reached_by = [(pos[w[:-1]], letters.index(w[-1])) for w in elems[1:]]
-    return FiniteMonoid(["1"] + elems[1:], _cayley_table(right, reached_by), one=0,
-                        check=False)
+    return FiniteMonoid(["1"] + elems[1:], _cayley_table(right, reached_by), one=0)
 
 
 def cyclic_counter(n: int) -> FiniteMonoid:
     """The n+1 element monoid 1, a, ..., a^(n-1), 0 with a^n = 0."""
     if n < 1:
         raise ValueError("cyclic_counter needs n >= 1")
-    names = ["1"] + [format_word("a" * i) for i in range(1, n)] + ["0"]
-    exps = np.arange(n + 1, dtype=np.int32)
-    table = np.minimum(np.add.outer(exps, exps), n)  # a^i a^j, clamped to the zero
-    return FiniteMonoid(names, table, one=0, zero=n, check=False)
+    return from_presentation(presentation("a", f"a{n}=0"))
 
 
 def cyclic_group(m: int) -> FiniteMonoid:
+    """The cyclic group 1, g, ..., g^(m-1) with g^m = 1."""
     if m < 1:
         raise ValueError("cyclic_group needs m >= 1")
-    names = ["1"] + [f"g{i}" if i > 1 else "g" for i in range(1, m)]
-    table = np.fromfunction(lambda i, j: (i + j) % m, (m, m), dtype=np.int64)
-    return FiniteMonoid(names, table, one=0, check=False)
+    return from_presentation(presentation("g", f"g{m}=1"))
 
 
 @lru_cache(maxsize=None)
@@ -388,16 +379,9 @@ def named_monoid(name: str) -> FiniteMonoid:
 
 
 def _guard(m: FiniteMonoid, letters, allow_large: bool):
-    n = max(len(m), 1)
-    if allow_large:
-        return
-    if len(letters) > 6 and len(m) > 20:
+    if not allow_large and len(m) ** len(letters) > 2 * 10**8:
         raise SearchCapExceeded(
-            f"{len(letters)} letters over {len(m)} elements is past the desk-scale"
-            " ceiling; pass allow_large=True to force the search")
-    if n ** len(letters) > 2 * 10**8:
-        raise SearchCapExceeded(
-            f"assignment space {n}^{len(letters)} is too large;"
+            f"assignment space {len(m)}^{len(letters)} is too large;"
             " pass allow_large=True to force the search")
 
 

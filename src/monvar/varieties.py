@@ -27,6 +27,7 @@ from .deduction import (
 )
 from .monoids import (
     FiniteMonoid,
+    LikelyInfinite,
     SearchCapExceeded,
     find_counterexample,
     from_table,
@@ -285,10 +286,10 @@ def decide_identity(v: VarietySpec, ident: Identity,
         if _occ_vector(lhs, letters) == _occ_vector(rhs, letters):
             return Verdict(HOLDS, reason="equal occurrence counts")
         bad = next(c for c in letters if occ(lhs, c) != occ(rhs, c))
-        witness_model = named_monoid(f"counter:{max(occ(lhs, bad), occ(rhs, bad)) + 1}")
         try:
-            witness = find_counterexample(witness_model, ident)
-        except SearchCapExceeded:  # the rule has decided; the witness is optional
+            witness = find_counterexample(
+                named_monoid(f"counter:{max(occ(lhs, bad), occ(rhs, bad)) + 1}"), ident)
+        except (LikelyInfinite, SearchCapExceeded):  # the rule has decided
             witness = None
         return Verdict(FAILS, witness=witness, reason=f"occurrence counts differ at {bad}")
 

@@ -34,6 +34,14 @@ def test_check_com_witness_beyond_search_cap_is_omitted(capsys):
     assert "counterexample: t -> 1, x -> a, y -> 1, z -> 1" in out
 
 
+def test_check_com_witness_past_the_element_cap_is_omitted(capsys):
+    # the witness would be counter:20001, past from_presentation's cap
+    code, out, _ = run(capsys, "check", "COM", "x20000=1")
+    assert code == 1
+    assert "fails" in out
+    assert "counterexample:" not in out
+
+
 def test_check_group_identity(capsys):
     code, out, _ = run(capsys, "check", "A2", "x2y=y")
     assert code == 0
@@ -132,6 +140,15 @@ def test_monoid_info(capsys):
     assert "index 2" in out and "period 1" in out
     code, out, _ = run(capsys, "monoid", "info", "group:3")
     assert "period 3" in out
+
+
+def test_monoid_builtins_past_the_element_cap(capsys):
+    code, out, err = run(capsys, "monoid", "info", "counter:20000")
+    assert code == 3 and not out
+    assert "more than 10000" in err
+    code, out, err = run(capsys, "monoid", "info", "lrb:8")
+    assert code == 65 and not out
+    assert err == "error: free_lrb_monoid needs 1 <= k <= 6\n"
 
 
 def test_monoid_unknown_name(capsys):

@@ -297,6 +297,18 @@ def test_validate_reports_witness():
     assert "order 2" in repr(m)
 
 
+def test_validate_range_checks_identity_and_zero():
+    with pytest.raises(InvalidTable, match="identity index 0 is out of range"):
+        FiniteMonoid([], np.zeros((0, 0)), one=0)
+    with pytest.raises(InvalidTable, match="identity index 3 is out of range"):
+        FiniteMonoid(["1"], [[0]], one=3)
+    with pytest.raises(InvalidTable, match="zero index 5 is out of range"):
+        FiniteMonoid(["1", "e"], [[0, 1], [1, 1]], one=0, zero=5)
+    # the last row is the identity, so a wrapped -1 would pass the table checks
+    with pytest.raises(InvalidTable, match="identity index -1 is out of range"):
+        FiniteMonoid(["e", "1"], [[0, 0], [0, 1]], one=-1)
+
+
 def test_direct_product_counts_and_law():
     r = from_presentation(R_PRES)
     rxr = direct_product(r, opposite(r))
@@ -364,6 +376,29 @@ def test_builtin_tables_match_pairwise_construction():
         m = cyclic_counter(n)
         assert m.table.dtype == table.dtype and m.table.tobytes() == table.tobytes()
         assert m.zero == n
+
+
+def test_free_lrb_monoid_stops_below_the_element_cap():
+    # lrb:7 has 13 700 elements, past from_presentation's 10 000
+    with pytest.raises(ValueError, match="1 <= k <= 6"):
+        free_lrb_monoid(7)
+    assert len(free_lrb_monoid(6)) == 1957
+
+
+def test_cyclic_group_matches_modular_addition():
+    for m in range(1, 30):
+        table = np.fromfunction(lambda i, j: (i + j) % m, (m, m), dtype=np.int64)
+        g = cyclic_group(m)
+        assert np.array_equal(g.table, table)
+        assert g.names == ("1",) + tuple(f"g{i}" if i > 1 else "g" for i in range(1, m))
+        assert g.one == 0 and g.zero is None
+
+
+def test_cyclic_builtins_past_the_element_cap_are_likely_infinite():
+    with pytest.raises(LikelyInfinite):
+        cyclic_counter(10001)
+    with pytest.raises(LikelyInfinite):
+        cyclic_group(10001)
 
 
 def test_cyclic_counter():
