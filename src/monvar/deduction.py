@@ -17,6 +17,7 @@ from .words import (
     ALPHABET,
     Identity,
     ParseError,
+    data_lines,
     match_substitutions,
     parse_identity,
 )
@@ -74,10 +75,7 @@ def system(*specs, name: str | None = None) -> IdentitySystem:
 def parse_identity_system(text: str, name: str | None = None) -> IdentitySystem:
     """File format: one identity per line, '#' comments, optional 'name:' header."""
     idents = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for _, line in data_lines(text):
         if line.startswith("name:"):
             name = line[len("name:"):].strip()
             continue

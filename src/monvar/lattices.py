@@ -14,7 +14,7 @@ from importlib import resources
 
 import numpy as np
 
-from .words import ParseError
+from .words import ParseError, data_lines
 
 
 class NotALattice(ValueError):
@@ -331,10 +331,7 @@ def parse_lattice(text: str) -> FiniteLattice:
     Blank lines and # comments are skipped."""
     names = None
     covers = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for raw, line in data_lines(text):
         if line.startswith("elems:"):
             if names is not None:
                 raise ParseError("duplicate elems: line")

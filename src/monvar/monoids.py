@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .words import Identity, ParseError, format_word, initial_part, parse_word
+from .words import Identity, ParseError, data_lines, format_word, initial_part, parse_word
 
 
 class InvalidTable(ValueError):
@@ -465,10 +465,7 @@ def parse_presentation(text: str) -> Presentation:
     """Lines 'gens: a b' then 'rel: <word> = <word|0>'; '#' comments."""
     gens = None
     rels = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for raw, line in data_lines(text):
         if line.startswith("gens:"):
             if gens is not None:
                 raise ParseError("duplicate gens: line")
@@ -484,8 +481,7 @@ def parse_presentation(text: str) -> Presentation:
 
 def parse_table(text: str) -> FiniteMonoid:
     """Names line, n rows of n names, 'one: <name>', optional 'zero: <name>'."""
-    lines = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln]
+    lines = [line for _, line in data_lines(text)]
     if not lines:
         raise ParseError("empty table file")
     names = lines[0].split()
@@ -498,18 +494,18 @@ def parse_table(text: str) -> FiniteMonoid:
         if len(row) != n:
             raise ParseError(f"table row has {len(row)} entries, expected {n}")
         rows.append(row)
-    one_name = None
-    zero_name = None
+    declared = {}  # "one" / "zero" -> element name
     for ln in lines[n + 1:]:
-        if ln.startswith("one:"):
-            one_name = ln[len("one:"):].strip()
-        elif ln.startswith("zero:"):
-            zero_name = ln[len("zero:"):].strip()
-        else:
+        key, colon, value = ln.partition(":")
+        if not colon or key not in ("one", "zero"):
             raise ParseError(f"unrecognized table line: {ln!r}")
-    if one_name is None:
+        if key in declared:
+            raise ParseError(f"duplicate {key}: line")
+        declared[key] = value.strip()
+    if "one" not in declared:
         raise ParseError("table file needs a one: line")
-    m = from_table(names, rows, one_name)
+    m = from_table(names, rows, declared["one"])
+    zero_name = declared.get("zero")
     if zero_name is not None:
         z = m.index(zero_name)
         if m.zero != z:
@@ -521,11 +517,7 @@ def load_monoid(path) -> FiniteMonoid:
     """Load a presentation or table file, sniffing the format."""
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("gens:"):
-            return from_presentation(parse_presentation(text))
-        break
+    _, first = next(data_lines(text), (None, ""))
+    if first.startswith("gens:"):
+        return from_presentation(parse_presentation(text))
     return parse_table(text)

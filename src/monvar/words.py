@@ -26,6 +26,14 @@ class KindViolation(ValueError):
     """A semigroup-kind substitution maps a used letter to the empty word."""
 
 
+def data_lines(text: str):
+    """Yield (raw, line) per non-blank line; line is raw minus its '#' comment, stripped."""
+    for raw in text.splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield raw, line
+
+
 # ---------------------------------------------------------------------------
 # text form
 

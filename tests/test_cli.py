@@ -151,6 +151,14 @@ def test_monoid_builtins_past_the_element_cap(capsys):
     assert err == "error: free_lrb_monoid needs 1 <= k <= 6\n"
 
 
+def test_monoid_table_with_a_repeated_one_line_exits_65(capsys, tmp_path):
+    table = tmp_path / "two.tab"
+    table.write_text("1 e\n1 e\ne e\none: 1\none: e\n")
+    code, out, err = run(capsys, "monoid", "info", str(table))
+    assert code == 65 and not out
+    assert err == "error: duplicate one: line\n"
+
+
 def test_monoid_unknown_name(capsys):
     code, _, err = run(capsys, "monoid", "build", "nosuch")
     assert code == 65

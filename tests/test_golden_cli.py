@@ -3,8 +3,8 @@
 ``bench/golden/cli_pool.json`` holds the exit code and exact stdout of every
 invocation the benchmark's cli workload runs.  Each is replayed through
 ``cli.main`` from the repository root, where the pool's relative paths
-resolve.  The ``verify_paper`` probe is left to ``test_cli`` and the
-acceptance tests, which run ``verify-paper`` already.
+resolve.  The ``verify_paper`` probe is replayed on its own, so a failure
+names it.
 """
 
 import json
@@ -15,9 +15,13 @@ from monvar.cli import main
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_golden_invocations_replay_identically(capsys, monkeypatch):
-    pool = json.loads((ROOT / "bench" / "golden" / "cli_pool.json")
+def _pool():
+    return json.loads((ROOT / "bench" / "golden" / "cli_pool.json")
                       .read_text(encoding="utf-8"))
+
+
+def test_golden_invocations_replay_identically(capsys, monkeypatch):
+    pool = _pool()
     cases = pool["entries"] + [pool["probes"]["cold_start"]]
     assert len(cases) == 211
     monkeypatch.chdir(ROOT)
@@ -27,3 +31,10 @@ def test_golden_invocations_replay_identically(capsys, monkeypatch):
         if (code, capsys.readouterr().out) != (case["rc"], case["stdout"]):
             mismatched.append(" ".join(case["args"]))
     assert not mismatched, mismatched
+
+
+def test_verify_paper_replays_identically(capsys):
+    probe = _pool()["probes"]["verify_paper"]
+    assert probe["args"] == ["verify-paper"]
+    code = main(list(probe["args"]))
+    assert (code, capsys.readouterr().out) == (probe["rc"], probe["stdout"])

@@ -30,7 +30,7 @@ from monvar.monoids import (
     presentation,
     satisfies_identity,
 )
-from monvar.words import format_word, initial_part, parse_identity, reverse
+from monvar.words import ParseError, format_word, initial_part, parse_identity, reverse
 
 D2_PRES = presentation("a b", "a2=0", "b2=0", "bab=0")
 R_PRES = presentation("a b", "a3=0", "b2=0", "ba=0")
@@ -488,6 +488,12 @@ def test_parse_table_file():
         parse_table("1 e\n1 e\ne e\n")  # no one: line
     with pytest.raises(InvalidTable):
         parse_table("1 e\n1 e\ne e\none: 1\nzero: 1\n")
+
+
+@pytest.mark.parametrize("key", ["one", "zero"])
+def test_parse_table_refuses_a_repeated_one_or_zero_line(key):
+    with pytest.raises(ParseError, match=f"^duplicate {key}: line$"):
+        parse_table(f"1 e\n1 e\ne e\none: 1\n{key}: 1\n{key}: e\n")
 
 
 def test_load_monoid_sniffs_format(tmp_path):
