@@ -9,10 +9,7 @@ costandard elements.
 
 from .words import (
     ALPHABET,
-    MONOID,
-    SEMIGROUP,
     Identity,
-    KindViolation,
     ParseError,
     Substitution,
     apply_substitution,
@@ -21,7 +18,6 @@ from .words import (
     embeds,
     format_word,
     initial_part,
-    iter_words,
     occ,
     parse_identity,
     parse_word,
@@ -69,7 +65,6 @@ from .monoids import (
     parse_presentation,
     parse_table,
     presentation,
-    satisfies_identity,
 )
 from .varieties import (
     FAILS,
@@ -80,7 +75,6 @@ from .varieties import (
     decide_identity,
     enumerate_W,
     is_isoterm_power,
-    isoterm_witness_search,
     lookup,
     membership_in_W,
     model_contains_basis,

@@ -33,7 +33,6 @@ class Bounds:
 
     max_len: int = 24
     max_depth: int = 48
-    max_candidates: int = 100_000
 
 
 class DerivationError(ValueError):
@@ -75,8 +74,12 @@ def system(*specs, name: str | None = None) -> IdentitySystem:
 def parse_identity_system(text: str, name: str | None = None) -> IdentitySystem:
     """File format: one identity per line, '#' comments, optional 'name:' header."""
     idents = []
+    named = False
     for _, line in data_lines(text):
         if line.startswith("name:"):
+            if named:
+                raise ParseError("duplicate name: line")
+            named = True
             name = line[len("name:"):].strip()
             continue
         idents.append(parse_identity(line))
@@ -213,6 +216,9 @@ def expand(word: str, sys: IdentitySystem, max_len: int):
             shared = sorted(s_letters & set(t))
             fresh = tuple(sorted(set(t) - s_letters))
             counts = {c: t.count(c) for c in fresh}
+            # every word matches the empty window, and a fresh letter's image
+            # can always outgrow the bound
+            truncated = truncated or bool(fresh)
             for i in range(n + 1):
                 for j in range(i, n + 1):
                     if j - i not in lengths:
@@ -222,24 +228,16 @@ def expand(word: str, sys: IdentitySystem, max_len: int):
                         base = (n - (j - i)) + sum(
                             t.count(c) * len(images[c]) for c in shared
                         )
-                        if fresh:
+                        if base > max_len:
                             truncated = True
-                            budget = max_len - base
-                            if budget < 0:
-                                continue
-                            for extra in _fresh_images(fresh, counts, budget):
-                                full = {**images, **extra}
-                                out = word[:i] + "".join(full[c] for c in t) + word[j:]
-                                step = RewriteStep(word[:i], ident, flipped,
-                                                   tuple(sorted(full.items())), word[j:])
-                                targets.setdefault(out, step)
-                        else:
-                            if base > max_len:
-                                truncated = True
-                                continue
-                            out = word[:i] + "".join(images[c] for c in t) + word[j:]
-                            step = RewriteStep(word[:i], ident, flipped, items, word[j:])
-                            targets.setdefault(out, step)
+                            continue
+                        for extra in _fresh_images(fresh, counts, max_len - base):
+                            full = {**images, **extra} if extra else images
+                            out = word[:i] + "".join(full[c] for c in t) + word[j:]
+                            if out not in targets:
+                                mapping = tuple(sorted(full.items())) if extra else items
+                                targets[out] = RewriteStep(word[:i], ident, flipped,
+                                                           mapping, word[j:])
     return targets, truncated
 
 

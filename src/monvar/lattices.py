@@ -71,8 +71,7 @@ class FiniteLattice:
         """Build from a cover list of (lower, upper) name pairs."""
         names = tuple(names)
         idx = {name: i for i, name in enumerate(names)}
-        n = len(names)
-        rel = np.eye(n, dtype=bool)
+        rel = np.eye(len(names), dtype=bool)
         for lo, hi in covers:
             if lo not in idx or hi not in idx:
                 missing = lo if lo not in idx else hi
@@ -80,12 +79,7 @@ class FiniteLattice:
             if lo == hi:
                 raise CycleError(f"cover {lo} < {hi} relates an element to itself")
             rel[idx[lo], idx[hi]] = True
-        leq = _transitive_closure(rel)
-        both = leq & leq.T & ~np.eye(n, dtype=bool)
-        if both.any():
-            i, j = map(int, np.argwhere(both)[0])
-            raise CycleError(f"covers create a cycle through {names[i]} and {names[j]}")
-        return cls(names, leq)
+        return cls(names, _transitive_closure(rel))
 
     def __len__(self):
         return len(self.names)
@@ -156,6 +150,14 @@ def _meet_join_tables(names, leq):
 # element properties
 
 
+def _verdict(lat: FiniteLattice, bad, *lead) -> Check:
+    """Check(True) when nothing is bad, else the names of `lead` followed by
+    the first bad index pair in row-major order."""
+    if not bad.any():
+        return Check(True)
+    return Check(False, tuple(lat.names[int(k)] for k in (*lead, *np.argwhere(bad)[0])))
+
+
 def is_modular_element(lat: FiniteLattice, element) -> Check:
     """a <= b must force (x v a) ^ b == (x ^ b) v a; witness is a bad (a, b)."""
     x = lat.index(element)
@@ -163,11 +165,7 @@ def is_modular_element(lat: FiniteLattice, element) -> Check:
     jx = lat.join[:, x]  # column: a v x over a
     lhs = lat.join[:, mx]  # [a, b] -> a v (x ^ b)
     rhs = lat.meet[jx]  # [a, b] -> (a v x) ^ b
-    bad = (lhs != rhs) & lat.leq
-    if not bad.any():
-        return Check(True)
-    a, b = map(int, np.argwhere(bad)[0])
-    return Check(False, (lat.names[a], lat.names[b]))
+    return _verdict(lat, (lhs != rhs) & lat.leq)
 
 
 def is_cancellable_element(lat: FiniteLattice, element) -> Check:
@@ -176,11 +174,7 @@ def is_cancellable_element(lat: FiniteLattice, element) -> Check:
     jx = lat.join[x]
     mx = lat.meet[x]
     same = (jx[:, None] == jx[None, :]) & (mx[:, None] == mx[None, :])
-    same &= ~np.eye(len(lat), dtype=bool)
-    if not same.any():
-        return Check(True)
-    a, b = map(int, np.argwhere(same)[0])
-    return Check(False, (lat.names[a], lat.names[b]))
+    return _verdict(lat, same & ~np.eye(len(lat), dtype=bool))
 
 
 def is_costandard_element(lat: FiniteLattice, element) -> Check:
@@ -190,11 +184,7 @@ def is_costandard_element(lat: FiniteLattice, element) -> Check:
     jx = lat.join[:, x]
     lhs = lat.join[:, mx]  # [a, b] -> a v (x ^ b)
     rhs = lat.meet[jx[:, None], lat.join]  # [a, b] -> (a v x) ^ (a v b)
-    bad = lhs != rhs
-    if not bad.any():
-        return Check(True)
-    a, b = map(int, np.argwhere(bad)[0])
-    return Check(False, (lat.names[a], lat.names[b]))
+    return _verdict(lat, lhs != rhs)
 
 
 @dataclass(frozen=True)
@@ -219,10 +209,8 @@ def is_modular_lattice(lat: FiniteLattice) -> Check:
     for a in range(len(lat)):
         lhs = lat.join[a][lat.meet]  # [x, b] -> a v (x ^ b)
         rhs = lat.meet[lat.join[a]]  # [x, b] -> (a v x) ^ b
-        bad = (lhs != rhs) & lat.leq[a][None, :]
-        if bad.any():
-            x, b = map(int, np.argwhere(bad)[0])
-            return Check(False, (lat.names[a], lat.names[x], lat.names[b]))
+        if not (res := _verdict(lat, (lhs != rhs) & lat.leq[a][None, :], a)):
+            return res
     return Check(True)
 
 
@@ -232,10 +220,8 @@ def is_distributive_lattice(lat: FiniteLattice) -> Check:
         mx = lat.meet[x]
         lhs = mx[lat.join]  # [y, z] -> x ^ (y v z)
         rhs = lat.join[mx[:, None], mx[None, :]]  # [y, z] -> (x^y) v (x^z)
-        bad = lhs != rhs
-        if bad.any():
-            y, z = map(int, np.argwhere(bad)[0])
-            return Check(False, (lat.names[x], lat.names[y], lat.names[z]))
+        if not (res := _verdict(lat, lhs != rhs, x)):
+            return res
     return Check(True)
 
 

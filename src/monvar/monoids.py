@@ -105,12 +105,6 @@ class FiniteMonoid:
     def mul(self, i: int, j: int) -> int:
         return int(self.table[i, j])
 
-    def power(self, i: int, k: int) -> int:
-        acc = self.one
-        for _ in range(k):
-            acc = self.mul(acc, i)
-        return acc
-
     def validate(self):
         n = len(self.names)
         t = self.table
@@ -416,11 +410,6 @@ def find_counterexample(m: FiniteMonoid, ident: Identity,
         return None
     first = diff[0]
     return {c: m.names[int(first[k])] for k, c in enumerate(letters)}
-
-
-def satisfies_identity(m: FiniteMonoid, ident: Identity,
-                       allow_large: bool = False) -> bool:
-    return find_counterexample(m, ident, allow_large) is None
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ from .deduction import (
     Bounds,
     IdentitySystem,
     derivable,
-    expand,
     system,
 )
 from .monoids import (
@@ -34,7 +33,7 @@ from .monoids import (
     monoid_index_period,
     named_monoid,
 )
-from .words import Identity, initial_part, occ, parse_word, iter_words
+from .words import Identity, initial_part, occ, parse_word
 
 HOLDS = "holds"
 FAILS = "fails"
@@ -46,9 +45,6 @@ RULE_CN = "Cn-cappedocc"
 RULE_AM = "Am-modocc"
 RULE_MODEL = "finite-model"
 RULE_DEDUCTION = "deduction-only"
-
-
-DEFAULT_BOUNDS = Bounds()
 
 
 @dataclass
@@ -265,7 +261,7 @@ def _occ_vector(word, letters):
 
 
 def decide_identity(v: VarietySpec, ident: Identity,
-                    bounds: Bounds = DEFAULT_BOUNDS) -> Verdict:
+                    bounds: Bounds = Bounds()) -> Verdict:
     lhs, rhs = ident.lhs, ident.rhs
     letters = sorted(ident.letters())
 
@@ -351,28 +347,3 @@ def is_isoterm_power(v: VarietySpec, n: int) -> bool:
     if v.model is None:
         raise ValueError(f"variety {v.name} has no registered generating monoid")
     return monoid_index_period(v.model).index > n
-
-
-def isoterm_witness_search(v: VarietySpec, word: str,
-                           bounds: Bounds = DEFAULT_BOUNDS) -> str | None:
-    """A word w' != word with decide_identity(v, word=w') holding, searched in
-    (length, lex) order up to the bounds; None means nothing found (no proof)."""
-    limit = min(bounds.max_len, len(word) + 2)
-    if v.rule == RULE_DEDUCTION:
-        # any word one step away already answers; if the only successor is the
-        # word itself the closure is a singleton and nothing else is provably equal
-        succ, _ = expand(word, v.basis, limit)
-        for tgt in sorted(succ, key=lambda s: (len(s), s)):
-            if tgt != word:
-                return tgt
-        return None
-    examined = 0
-    for cand in iter_words(sorted(set(word)), limit):
-        if cand == word:
-            continue
-        examined += 1
-        if examined > bounds.max_candidates:
-            return None
-        if decide_identity(v, Identity(word, cand), bounds).value == HOLDS:
-            return cand
-    return None

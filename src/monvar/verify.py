@@ -147,52 +147,58 @@ def commutation_chain() -> Derivation:
 # individual checks; each returns a detail string or raises AssertionError
 
 
+def _require(ok, message=""):
+    """Raise AssertionError(message) unless ok; unlike assert, kept under python -O."""
+    if not ok:
+        raise AssertionError(message)
+
+
 def _check_fig1():
     lat = fixtures()["fig1"]
     for el in ("x", "y"):
         res = is_cancellable_element(lat, el)
-        assert res.ok, f"{el} should be cancellable, witness {res.witness}"
+        _require(res.ok, f"{el} should be cancellable, witness {res.witness}")
     res = is_cancellable_element(lat, "xvy")
-    assert not res.ok, "the join xvy should not be cancellable"
-    assert res.witness == ("a", "c"), f"unexpected witness {res.witness}"
+    _require(not res.ok, "the join xvy should not be cancellable")
+    _require(res.witness == ("a", "c"), f"unexpected witness {res.witness}")
     return "x, y cancellable; xvy refuted by the pair (a, c)"
 
 
 def _check_fig2():
     lat = fixtures()["fig2"]
     mod = is_modular_lattice(lat)
-    assert mod.ok, f"expected a modular lattice, witness {mod.witness}"
+    _require(mod.ok, f"expected a modular lattice, witness {mod.witness}")
     dist = is_distributive_lattice(lat)
-    assert not dist.ok, "the lattice should not be distributive"
+    _require(not dist.ok, "the lattice should not be distributive")
     x, y, z = dist.witness
     lhs = lat.meet_of(x, lat.join_of(y, z))
     rhs = lat.join_of(lat.meet_of(x, y), lat.meet_of(x, z))
-    assert lhs != rhs, "reported witness does not violate distributivity"
-    assert lat.meet_of("D2", "R") == "D"
-    assert lat.join_of("D2", "R") == "RvRop"
+    _require(lhs != rhs, "reported witness does not violate distributivity")
+    _require(lat.meet_of("D2", "R") == "D")
+    _require(lat.join_of("D2", "R") == "RvRop")
     return f"modular; distributivity fails at ({x}, {y}, {z}); D2^R=D, D2vR=RvRop"
 
 
 def _check_partitions():
     counts = [len(all_partitions(k)) for k in (3, 4, 5)]
-    assert counts == [5, 15, 52], f"partition counts off: {counts}"
+    _require(counts == [5, 15, 52], f"partition counts off: {counts}")
     for k in (2, 3, 4, 5):
         lat = partition_lattice(k)
-        assert len(lat) == len(all_partitions(k)), f"lattice size off for k={k}"
+        _require(len(lat) == len(all_partitions(k)), f"lattice size off for k={k}")
         for p in all_partitions(k):
             brute = bool(is_modular_element(lat, p.label))
-            assert brute == jezek_modular(p), \
-                f"rule and brute force disagree on {p.label} for k={k}"
+            _require(brute == jezek_modular(p),
+                     f"rule and brute force disagree on {p.label} for k={k}")
     modular4 = sum(jezek_modular(p) for p in all_partitions(4))
-    assert modular4 == 12, f"expected 12 modular elements for k=4, got {modular4}"
+    _require(modular4 == 12, f"expected 12 modular elements for k=4, got {modular4}")
     return "brute force matches the one-fused-block rule up to k=5; 12 of 15 at k=4"
 
 
 def _check_lrb_rule():
     spec = lookup("LRB")
     model = free_lrb_monoid(3)
-    assert decide_identity(spec, parse_identity("xy=xyx")).value == HOLDS
-    assert decide_identity(spec, parse_identity("xy=yx")).value == FAILS
+    _require(decide_identity(spec, parse_identity("xy=xyx")).value == HOLDS)
+    _require(decide_identity(spec, parse_identity("xy=yx")).value == FAILS)
     rng = random.Random(20260814)
     agree = 0
     for _ in range(200):
@@ -201,8 +207,8 @@ def _check_lrb_rule():
         ident = Identity(u, v)
         by_rule = decide_identity(spec, ident).value == HOLDS
         by_model = find_counterexample(model, ident) is None
-        assert by_rule == by_model, f"disagreement on {ident}"
-        assert by_rule == (initial_part(u) == initial_part(v)), f"closed form off on {ident}"
+        _require(by_rule == by_model, f"disagreement on {ident}")
+        _require(by_rule == (initial_part(u) == initial_part(v)), f"closed form off on {ident}")
         agree += 1
     return f"initial-part rule matches the 16-element model on {agree} random identities"
 
@@ -219,24 +225,24 @@ def _check_abelian_rule():
             ident = Identity(u, v)
             by_rule = decide_identity(spec, ident).value == HOLDS
             by_model = find_counterexample(model, ident) is None
-            assert by_rule == by_model, f"disagreement on {ident} at exponent {m}"
+            _require(by_rule == by_model, f"disagreement on {ident} at exponent {m}")
             total += 1
     return f"occurrences-mod-m rule matches cyclic groups on {total} random identities"
 
 
 def _check_presented_bases():
     d2 = named_monoid("D2")
-    assert set(d2.names) == {"1", "a", "b", "ab", "ba", "aba", "0"}
-    assert model_contains_basis(d2, system(*D2_BASIS)), "7-element monoid breaks its basis"
-    assert find_counterexample(d2, parse_identity("x2=x")) is not None
+    _require(set(d2.names) == {"1", "a", "b", "ab", "ba", "aba", "0"})
+    _require(model_contains_basis(d2, system(*D2_BASIS)), "7-element monoid breaks its basis")
+    _require(find_counterexample(d2, parse_identity("x2=x")) is not None)
 
     r = named_monoid("R")
-    assert set(r.names) == {"1", "a", "b", "a2", "ab", "a2b", "0"}
+    _require(set(r.names) == {"1", "a", "b", "a2", "ab", "a2b", "0"})
 
     rxr = named_monoid("RxRop")
-    assert len(rxr) == 49
-    assert model_contains_basis(rxr, system(*RVROP_BASIS)), "product breaks its basis"
-    assert find_counterexample(rxr, parse_identity("x2=x3")) is not None
+    _require(len(rxr) == 49)
+    _require(model_contains_basis(rxr, system(*RVROP_BASIS)), "product breaks its basis")
+    _require(find_counterexample(rxr, parse_identity("x2=x3")) is not None)
     return "both presented monoids validate and satisfy their five-identity bases"
 
 
@@ -245,19 +251,19 @@ def _check_d_single_basis():
     basis = system(*D_BASIS, name="D")
     for ident in basis.ordered():
         res = derivable(ident.lhs, ident.rhs, single, max_len=8, max_depth=4)
-        assert res.status == YES, f"{ident} not reachable from the one-identity form"
+        _require(res.status == YES, f"{ident} not reachable from the one-identity form")
         check_derivation(res.derivation, single, strict=True)
     back = derivable(parse_word("x3yz"), parse_word("yxzx"), basis,
                      max_len=8, max_depth=6)
-    assert back.status == YES, "one-identity form not reachable from the basis"
+    _require(back.status == YES, "one-identity form not reachable from the basis")
     check_derivation(back.derivation, basis, strict=True)
     return "three-identity system and x3yz=yxzx derive each other within length 8"
 
 
 def _check_chain():
     chain = commutation_chain()
-    assert (chain.words[0], chain.words[-1]) == ("yyxttzzyyttxzz", "yyxttzzxyyttxzz")
-    assert len(chain) == 16, f"chain has {len(chain)} steps"
+    _require((chain.words[0], chain.words[-1]) == ("yyxttzzyyttxzz", "yyxttzzxyyttxzz"))
+    _require(len(chain) == 16, f"chain has {len(chain)} steps")
     check_derivation(chain, system("x2=x3", "x2y=yx2"), strict=True)
     return "16 steps, each validated against {x2=x3, x2y=yx2}"
 
@@ -265,16 +271,16 @@ def _check_chain():
 def _check_w_stability():
     ksys = system(K_IDENTITY, name="K")
     words = enumerate_W((2, 3))
-    assert len(words) == 128, f"expected 128 family members, got {len(words)}"
-    assert membership_in_W(K_LHS) == "W1" and membership_in_W(K_RHS) == "W2"
+    _require(len(words) == 128, f"expected 128 family members, got {len(words)}")
+    _require(membership_in_W(K_LHS) == "W1" and membership_in_W(K_RHS) == "W2")
     images = moved = 0
     for w in words:
         for target in one_step_rewrites(w, ksys, 21):
-            assert membership_in_W(target) != OUTSIDE, \
-                f"{format_word(w)} rewrites outside the family to {format_word(target)}"
+            _require(membership_in_W(target) != OUTSIDE,
+                     f"{format_word(w)} rewrites outside the family to {format_word(target)}")
             images += 1
             moved += target != w
-    assert moved > 0, "K rewrites no family member to a different word"
+    _require(moved > 0, "K rewrites no family member to a different word")
     return f"all {images} one-step images of the 128 family members stay inside"
 
 
@@ -288,8 +294,8 @@ def _check_isoterm_powers():
             collapse = any(
                 find_counterexample(model, Identity("x" * n, "x" * (n + m))) is None
                 for m in range(1, 5))
-            assert is_isoterm_power(spec, n) == (not collapse), \
-                f"mismatch at counter({c}), n={n}"
+            _require(is_isoterm_power(spec, n) == (not collapse),
+                     f"mismatch at counter({c}), n={n}")
             checked += 1
     return f"index threshold agrees with bounded power collapse in {checked} cases"
 
@@ -298,25 +304,25 @@ def _check_word_laws():
     rng = random.Random(3517)
     for _ in range(1000):
         w = "".join(rng.choice("abcde") for _ in range(rng.randrange(0, 11)))
-        assert parse_word(format_word(w)) == w
-        assert reverse(reverse(w)) == w
+        _require(parse_word(format_word(w)) == w)
+        _require(reverse(reverse(w)) == w)
         # initial-part idempotence
         ip = initial_part(w)
-        assert initial_part(ip) == ip and set(ip) == set(w)
+        _require(initial_part(ip) == ip and set(ip) == set(w))
         # deletion composes: removing X then Y equals removing X union Y
         xs = {c for c in "abcde" if rng.random() < 0.4}
         ys = {c for c in "abcde" if rng.random() < 0.4}
-        assert delete_letters(delete_letters(w, xs), ys) == delete_letters(w, xs | ys)
+        _require(delete_letters(delete_letters(w, xs), ys) == delete_letters(w, xs | ys))
         # substitution occurrence law
         sub = Substitution({c: "".join(rng.choice("xy") for _ in range(rng.randrange(0, 3)))
                             for c in "abcde"})
         image = sub(w)
         for b in "xy":
             expected = sum(occ(w, a) * occ(sub.image(a), b) for a in set(w))
-            assert occ(image, b) == expected
+            _require(occ(image, b) == expected)
         u = "".join(rng.choice("abc") for _ in range(rng.randrange(0, 6)))
-        assert sub(w + u) == sub(w) + sub(u)
-    assert delete_letters(K_LHS, {"y", "t"}) == "xzzxzz"
+        _require(sub(w + u) == sub(w) + sub(u))
+    _require(delete_letters(K_LHS, {"y", "t"}) == "xzzxzz")
     return ("idempotence, deletion composition and the occurrence law"
             " on 1000 samples each")
 

@@ -14,16 +14,9 @@ from dataclasses import dataclass
 
 ALPHABET = "abcdefghijklmnopqrstuvwxyz"
 
-MONOID = "monoid"        # substitution images may be empty words
-SEMIGROUP = "semigroup"  # every image of a used letter must be nonempty
-
 
 class ParseError(ValueError):
     """Text does not match the word/identity/file grammar."""
-
-
-class KindViolation(ValueError):
-    """A semigroup-kind substitution maps a used letter to the empty word."""
 
 
 def data_lines(text: str):
@@ -100,9 +93,6 @@ class Identity:
     def letters(self) -> set[str]:
         return set(self.lhs) | set(self.rhs)
 
-    def reversed(self) -> "Identity":
-        return Identity(self.lhs[::-1], self.rhs[::-1])
-
     def __str__(self):
         return f"{format_word(self.lhs)}={format_word(self.rhs)}"
 
@@ -122,7 +112,6 @@ class Substitution:
     """Letter-to-word map extending to an endomorphism; unmapped letters fix."""
 
     mapping: dict[str, str]
-    kind: str = MONOID
 
     def image(self, letter: str) -> str:
         return self.mapping.get(letter, letter)
@@ -132,12 +121,6 @@ class Substitution:
 
 
 def apply_substitution(subst: Substitution, word: str) -> str:
-    if subst.kind == SEMIGROUP:
-        empties = sorted(c for c in set(word) if subst.image(c) == "")
-        if empties:
-            raise KindViolation(
-                f"semigroup-kind substitution has empty image for {', '.join(empties)}"
-            )
     return "".join(subst.image(c) for c in word)
 
 
@@ -165,14 +148,6 @@ def initial_part(word: str) -> str:
 
 def reverse(word: str) -> str:
     return word[::-1]
-
-
-def iter_words(letters, max_len: int):
-    """All words over `letters` of length <= max_len, in (length, lex) order."""
-    alpha = sorted(set(letters))
-    for n in range(max_len + 1):
-        for tup in itertools.product(alpha, repeat=n):
-            yield "".join(tup)
 
 
 # ---------------------------------------------------------------------------

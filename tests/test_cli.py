@@ -1,8 +1,16 @@
 """Exit codes and printed output of the command line front end."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import monvar
 from monvar.cli import main
+
+SRC = str(Path(monvar.__file__).resolve().parents[1])
 
 
 def run(capsys, *argv):
@@ -95,6 +103,14 @@ def test_derive_unknown_at_depth_zero(capsys, tmp_path):
                        "--max-depth", "0")
     assert code == 2
     assert "unknown" in out
+
+
+def test_derive_with_a_repeated_name_line_exits_65(capsys, tmp_path):
+    f = tmp_path / "cube.ids"
+    f.write_text("name: A\nname: B\nx2 = x3\n")
+    code, out, err = run(capsys, "derive", "x2", "x3", "--system", str(f))
+    assert code == 65 and not out
+    assert err == "error: duplicate name: line\n"
 
 
 def test_derive_named_system(capsys):
@@ -239,3 +255,24 @@ def test_deterministic_output(capsys):
     a = run(capsys, "check", "COM", "xyx=x2y")
     b = run(capsys, "check", "COM", "xyx=x2y")
     assert a == b
+
+
+def test_verify_paper_reports_a_broken_fact_under_python_O():
+    # python -O strips assert statements; a check must still fail when
+    # its fact is false
+    script = "\n".join([
+        "import sys",
+        "from monvar import cli, verify",
+        "from monvar.lattices import Check",
+        "verify.is_modular_lattice = lambda lat: Check(False, ('a', 'b', 'c'))",
+        "verify.CHECKS = [c for c in verify.CHECKS if c[0] == 'fig2-modular-not-distributive']",
+        "sys.exit(cli.main(['verify-paper']))",
+    ])
+    path = [SRC] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 1, done.stderr
+    lines = done.stdout.splitlines()
+    assert "CHECK fig2-modular-not-distributive fail" in lines
+    assert "       expected a modular lattice, witness ('a', 'b', 'c')" in lines

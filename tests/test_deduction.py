@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from monvar.deduction import (
     NO,
@@ -11,14 +13,19 @@ from monvar.deduction import (
     Derivation,
     DerivationError,
     RewriteStep,
+    _feasible_lengths,
+    _fresh_images,
+    _matches,
     check_derivation,
     derivable,
+    expand,
     load_identity_system,
     one_step_rewrites,
     parse_identity_system,
     system,
 )
-from monvar.words import parse_identity, parse_word
+from monvar.varieties import catalog
+from monvar.words import ParseError, parse_identity, parse_word
 
 SIGMA = system("x3yz=yxzx")
 
@@ -45,6 +52,13 @@ def test_parse_identity_system_format():
         parse_identity_system("# nothing here\n")
 
 
+def test_parse_identity_system_refuses_a_repeated_name_line():
+    with pytest.raises(ParseError, match="duplicate name: line"):
+        parse_identity_system("name: A\nname: B\nx2=x3\n")
+    # a name argument may still be overridden by one name: line
+    assert parse_identity_system("name: A\nx2=x3\n", name="B").name == "A"
+
+
 def test_load_identity_system(tmp_path):
     f = tmp_path / "sigma.ids"
     f.write_text("name: sigma\nx3yz = yxzx\n")
@@ -58,6 +72,78 @@ def test_one_step_rewrites_frozen():
     out = one_step_rewrites("xxy", SIGMA, 4)
     assert "xxxy" in out
     assert out == {"xxy", "xxxy"}
+
+
+def _two_branch_expand(word, sys, max_len):
+    """`expand` as it was with separate loops for identity sides with and
+    without fresh letters, kept verbatim as the oracle."""
+    targets: dict[str, RewriteStep] = {}
+    truncated = False
+    n = len(word)
+    for ident in sys.ordered():
+        if ident.trivial:
+            continue
+        for flipped in (False, True):
+            s, t = (ident.rhs, ident.lhs) if flipped else (ident.lhs, ident.rhs)
+            s_letters = set(s)
+            occs = tuple(sorted({s.count(c) for c in s_letters})) or (1,)
+            lengths = _feasible_lengths(occs, n)
+            shared = sorted(s_letters & set(t))
+            fresh = tuple(sorted(set(t) - s_letters))
+            counts = {c: t.count(c) for c in fresh}
+            for i in range(n + 1):
+                for j in range(i, n + 1):
+                    if j - i not in lengths:
+                        continue
+                    for items in _matches(s, word[i:j]):
+                        images = dict(items)
+                        base = (n - (j - i)) + sum(
+                            t.count(c) * len(images[c]) for c in shared
+                        )
+                        if fresh:
+                            truncated = True
+                            budget = max_len - base
+                            if budget < 0:
+                                continue
+                            for extra in _fresh_images(fresh, counts, budget):
+                                full = {**images, **extra}
+                                out = word[:i] + "".join(full[c] for c in t) + word[j:]
+                                step = RewriteStep(word[:i], ident, flipped,
+                                                   tuple(sorted(full.items())), word[j:])
+                                targets.setdefault(out, step)
+                        else:
+                            if base > max_len:
+                                truncated = True
+                                continue
+                            out = word[:i] + "".join(images[c] for c in t) + word[j:]
+                            step = RewriteStep(word[:i], ident, flipped, items, word[j:])
+                            targets.setdefault(out, step)
+    return targets, truncated
+
+
+# the catalog bases, plus identities with a letter on one side only (in y=xy
+# that letter sorts before the matched one); identities like x=y are left out
+# because their fresh images grow as 26^max_len
+_ORACLE_SYSTEMS = tuple(
+    [spec.basis for spec in catalog().values() if spec.basis is not None]
+    + [system(spec) for spec in ("x=1", "xy=x", "x=yx", "y=xy", "xy=yzx")])
+
+
+def _fields(targets):
+    """Every target in insertion order with every field of its RewriteStep;
+    the identity's sides are listed apart because Identity equality is unordered."""
+    return [(out, step.prefix, step.identity.lhs, step.identity.rhs, step.flipped,
+             step.mapping, step.suffix) for out, step in targets.items()]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(_ORACLE_SYSTEMS), st.text(alphabet="xyz", max_size=6), st.data())
+def test_expand_matches_the_two_branch_oracle(sys_, word, data):
+    max_len = data.draw(st.integers(0, len(word) + 1), label="max_len")
+    new, new_cut = expand(word, sys_, max_len)
+    old, old_cut = _two_branch_expand(word, sys_, max_len)
+    assert _fields(new) == _fields(old)
+    assert new_cut == old_cut
 
 
 def test_one_step_respects_length_bound():

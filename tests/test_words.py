@@ -4,18 +4,14 @@ import random
 import pytest
 
 from monvar.words import (
-    Identity,
-    KindViolation,
     ParseError,
     Substitution,
-    SEMIGROUP,
     apply_substitution,
     content,
     delete_letters,
     embeds,
     format_word,
     initial_part,
-    iter_words,
     occ,
     parse_identity,
     parse_word,
@@ -109,14 +105,6 @@ def test_substitution_application():
     assert apply_substitution(Substitution({}), "xyz") == "xyz"
 
 
-def test_semigroup_kind_rejects_erasure():
-    xi = Substitution({"x": "", "y": "y"}, kind=SEMIGROUP)
-    with pytest.raises(KindViolation):
-        apply_substitution(xi, "xy")
-    # fine when the erased letter is not used
-    assert apply_substitution(xi, "yy") == "yy"
-
-
 def test_substitution_is_homomorphism():
     rng = random.Random(23)
     for _ in range(200):
@@ -202,8 +190,3 @@ def test_words_with_fixed_multiset_form_an_anti_chain():
     for u in words:
         for v in words:
             assert embeds(u, v) == (u == v), (u, v)
-
-
-def test_iter_words_order():
-    got = list(iter_words(["x", "y"], 2))
-    assert got == ["", "x", "y", "xx", "xy", "yx", "yy"]
