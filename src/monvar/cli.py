@@ -28,7 +28,6 @@ from .monoids import (
     SearchCapExceeded,
     find_counterexample,
     is_commutative,
-    is_completely_regular,
     load_monoid,
     monoid_index_period,
     named_monoid,
@@ -65,17 +64,11 @@ def _resolve(source: str, named, load, kind: str):
     raise KeyError(f"{source!r} is neither a builtin {kind} nor a readable file")
 
 
-def _resolve_system(source: str):
-    if os.path.exists(source):
-        return load_identity_system(source)
-    try:
-        spec = lookup(source)
-    except KeyError:
-        raise KeyError(f"{source!r} is neither a catalog variety nor a readable"
-                       " file") from None
+def _basis(name: str):
+    spec = lookup(name)
     if spec.basis is None:
-        raise KeyError(f"variety {spec.name} is model-defined and has no"
-                       " identity basis to derive from")
+        raise ValueError(f"variety {spec.name} is model-defined and has no"
+                         " identity basis to derive from")
     return spec.basis
 
 
@@ -132,7 +125,7 @@ def _cmd_monoid_info(args) -> int:
     print("zero element: " + (m.names[m.zero] if m.zero is not None else "none"))
     print(f"index {ip.index}, period {ip.period}")
     print(f"commutative: {_yesno(is_commutative(m))}")
-    print(f"completely regular: {_yesno(is_completely_regular(m))}")
+    print(f"completely regular: {_yesno(ip.index == 1)}")
     return 0
 
 
@@ -189,7 +182,7 @@ def _render_check(chk) -> str:
 
 def _cmd_derive(args) -> int:
     u, v = parse_word(args.lhs), parse_word(args.rhs)
-    sys_ = _resolve_system(args.system)
+    sys_ = _resolve(args.system, _basis, load_identity_system, "variety")
     res = derivable(u, v, sys_, args.max_len, args.max_depth)
     if res.status == YES:
         print(f"yes ({len(res.derivation)} steps, {res.explored} words explored)")
@@ -300,8 +293,8 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 64
-    except (LikelyInfinite, SearchCapExceeded) as exc:
-        print(f"resource limit: {exc}", file=sys.stderr)
+    except (LikelyInfinite, SearchCapExceeded, MemoryError) as exc:
+        print(f"resource limit: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3
     except (ValueError, KeyError, OSError) as exc:
         msg = exc.args[0] if exc.args else str(exc)

@@ -41,7 +41,8 @@ class FiniteLattice:
 
     `leq` is the full reflexive-transitive order matrix; meet and join
     tables are derived on construction, raising NotALattice with the
-    offending pair if either is missing somewhere.
+    offending pair if either is missing somewhere (every meet is checked
+    before any join).
     """
 
     def __init__(self, names, leq):
@@ -63,7 +64,8 @@ class FiniteLattice:
             raise ValueError("order matrix must be transitively closed")
         self.names = names
         self.leq = leq
-        self.meet, self.join = _meet_join_tables(names, leq)
+        self.meet = _meet_table(names, leq, "meet")
+        self.join = _meet_table(names, leq.T, "join")  # meets of the dual order
         self._index = {name: i for i, name in enumerate(names)}
 
     @classmethod
@@ -124,26 +126,21 @@ def _transitive_closure(rel):
         closed = nxt
 
 
-def _meet_join_tables(names, leq):
+def _meet_table(names, leq, what):
+    """For each pair, the one common lower bound every other lower bound lies
+    below; called with the transposed order it gives the joins."""
     n = len(names)
-    leq_dn = leq.astype(np.int32)  # leq_dn[k, g]: k below g
-    meet = np.empty((n, n), dtype=np.int32)
-    join = np.empty((n, n), dtype=np.int32)
+    below = leq.astype(np.int32)  # below[k, g]: k below g
+    table = np.empty((n, n), dtype=np.int32)
     for i in range(n):
         for j in range(i, n):
             low = leq[:, i] & leq[:, j]
-            hits = low @ leq_dn  # hits[g] counts lower bounds below g
+            hits = low @ below  # hits[g] counts lower bounds below g
             cand = np.flatnonzero(low & (hits == low.sum()))
             if len(cand) != 1:
-                raise NotALattice(f"{names[i]} and {names[j]} have no meet")
-            meet[i, j] = meet[j, i] = cand[0]
-            up = leq[i, :] & leq[j, :]
-            hits = leq_dn @ up  # hits[g] counts upper bounds above g
-            cand = np.flatnonzero(up & (hits == up.sum()))
-            if len(cand) != 1:
-                raise NotALattice(f"{names[i]} and {names[j]} have no join")
-            join[i, j] = join[j, i] = cand[0]
-    return meet, join
+                raise NotALattice(f"{names[i]} and {names[j]} have no {what}")
+            table[i, j] = table[j, i] = cand[0]
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -265,21 +262,11 @@ def all_partitions(k: int) -> list[Partition]:
     """Every partition of {1, ..., k}, in restricted-growth order."""
     if k < 1:
         raise ValueError("need k >= 1")
-    out = []
-
-    def grow(assign, used):
-        i = len(assign) + 1
-        if i > k:
-            blocks = [[] for _ in range(used)]
-            for e, b in enumerate(assign, start=1):
-                blocks[b].append(e)
-            out.append(Partition.of(blocks))
-            return
-        for b in range(used + 1):
-            grow(assign + [b], max(used, b + 1))
-
-    grow([], 0)
-    return out
+    growth = [()]
+    for _ in range(k):  # each point joins a block or opens the next one
+        growth = [g + (b,) for g in growth for b in range(max(g, default=-1) + 2)]
+    return [Partition.of([e for e, c in enumerate(g, start=1) if c == b]
+                         for b in range(max(g) + 1)) for g in growth]
 
 
 def partition_lattice(k: int) -> FiniteLattice:

@@ -439,7 +439,7 @@ def monoid_index_period(m: FiniteMonoid) -> IndexPeriod:
 
 def is_completely_regular(m: FiniteMonoid) -> bool:
     """Every x has some k >= 1 with x^(k+1) = x."""
-    return all(_element_index_period(m, x)[0] == 1 for x in range(len(m)))
+    return monoid_index_period(m).index == 1
 
 
 def is_commutative(m: FiniteMonoid) -> bool:

@@ -119,11 +119,6 @@ def enumerate_W(exponents=(2, 3)):
 
 
 @lru_cache(maxsize=None)
-def _trivial_monoid():
-    return from_table(["1"], [["1"]], "1")
-
-
-@lru_cache(maxsize=None)
 def _semilattice_2():
     return from_table(["1", "e"], [["1", "e"], ["e", "e"]], "1")
 
@@ -152,7 +147,7 @@ def _fixed_entries() -> dict[str, VarietySpec]:
     def add(spec):
         entries[spec.name] = spec
 
-    add(VarietySpec("T", basis=system("x=1"), model=_trivial_monoid(), rule=RULE_MODEL))
+    add(VarietySpec("T", basis=system("x=1"), model=named_monoid("group:1"), rule=RULE_MODEL))
     add(VarietySpec("SL", basis=system("x2=x", "xy=yx"), model=_semilattice_2(),
                     rule=RULE_SL))
     add(VarietySpec("COM", basis=system("xy=yx"), rule=RULE_COM))

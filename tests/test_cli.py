@@ -119,6 +119,25 @@ def test_derive_named_system(capsys):
     assert code == 0
 
 
+def test_derive_system_takes_a_catalog_name_before_a_file(capsys, tmp_path, monkeypatch):
+    (tmp_path / "D").write_text("xy=yx\n")
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run(capsys, "derive", "xy", "yx", "--system", "D")
+    assert code == 1 and out.startswith("no-within-bounds")
+
+
+def test_derive_from_a_model_defined_variety_exits_65(capsys):
+    code, out, err = run(capsys, "derive", "xy", "yx", "--system", "R")
+    assert code == 65 and not out
+    assert err == "error: variety R is model-defined and has no identity basis to derive from\n"
+
+
+def test_running_out_of_memory_exits_3(capsys):
+    code, out, err = run(capsys, "check", "COM", "x999999999999999=1")
+    assert code == 3 and not out
+    assert err == "resource limit: out of memory\n"
+
+
 def test_preceq(capsys):
     code, out, _ = run(capsys, "preceq", "xy", "yx")
     assert code == 0

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from monvar.lattices import (
     CycleError,
@@ -76,6 +78,59 @@ def test_meet_join_cohere_with_order():
             le = bool(lat.leq[i, j])
             assert le == (lat.meet[i, j] == i)
             assert le == (lat.join[i, j] == j)
+
+
+def _bound_oracle(n, below, i, j):
+    """The one common lower bound that every other one lies below, or None."""
+    bounds = [c for c in range(n) if below(c, i) and below(c, j)]
+    best = [c for c in bounds if all(below(d, c) for d in bounds)]
+    return best[0] if len(best) == 1 else None
+
+
+def _subsets(m):
+    return st.integers(0, 2 ** m - 1).map(
+        lambda bits: frozenset(i for i in range(m) if bits >> i & 1))
+
+
+# a ground size m, a family of subsets of range(m), whether to close it under
+# intersection, and whether to complement every member (reversing the order)
+_FAMILIES = st.integers(1, 6).flatmap(lambda m: st.tuples(
+    st.just(m), st.lists(_subsets(m), min_size=2, max_size=8), st.booleans(), st.booleans()))
+
+
+def test_tables_match_the_bound_oracle_on_set_families():
+    seen = set()
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(_FAMILIES)
+    def check(drawn):
+        m, family, close, dual = drawn
+        sets = set(family) | {frozenset(range(m))}
+        while close and (more := {a & b for a in sets for b in sets} - sets):
+            sets |= more
+        if dual:
+            sets = {frozenset(range(m)) - s for s in sets}
+        sets = sorted(sets, key=sorted)
+        n = len(sets)
+        names = ["s" + "".join(map(str, sorted(s))) for s in sets]
+        pairs = list(itertools.combinations_with_replacement(range(n), 2))
+        meets = {p: _bound_oracle(n, lambda a, b: sets[a] <= sets[b], *p) for p in pairs}
+        joins = {p: _bound_oracle(n, lambda a, b: sets[b] <= sets[a], *p) for p in pairs}
+        leq = [[a <= b for b in sets] for a in sets]
+        missing = "meet" if None in meets.values() else "join" if None in joins.values() else None
+        seen.add(missing)
+        if missing:
+            with pytest.raises(NotALattice, match=f"have no {missing}$"):
+                FiniteLattice(names, leq)
+            return
+        lat = FiniteLattice(names, leq)
+        for (i, j), k in meets.items():
+            assert lat.meet[i, j] == lat.meet[j, i] == k
+        for (i, j), k in joins.items():
+            assert lat.join[i, j] == lat.join[j, i] == k
+
+    check()
+    assert seen == {None, "meet", "join"}
 
 
 def test_fig1_element_checks():
@@ -173,6 +228,26 @@ def test_partition_counts_match_bell_numbers():
         partition_lattice(0)
     with pytest.raises(ValueError):
         partition_lattice(7)
+
+
+def _insertion_labels(k):
+    """Every partition of 1..k, built by inserting each point into every block
+    or a new one, sorted by its restricted-growth string."""
+    parts = [[]]
+    for e in range(1, k + 1):
+        parts = ([[*p[:i], [*b, e], *p[i + 1:]] for p in parts for i, b in enumerate(p)]
+                 + [[*p, [e]] for p in parts])
+
+    def growth(p):
+        block_of = {e: i for i, b in enumerate(sorted(p)) for e in b}
+        return [block_of[e] for e in range(1, k + 1)]
+
+    return ["|".join("".join(map(str, b)) for b in sorted(p)) for p in sorted(parts, key=growth)]
+
+
+@pytest.mark.parametrize("k", range(1, 8))
+def test_all_partitions_match_an_insertion_enumeration(k):
+    assert [p.label for p in all_partitions(k)] == _insertion_labels(k)
 
 
 def test_partition_lattice_structure():

@@ -61,7 +61,7 @@ def test_bound_defaults_come_from_bounds():
 
 @pytest.mark.parametrize("variety, monoid", [
     ("D2", "D2"), ("R", "R"), ("Rop", "Rop"), ("RvRop", "RxRop"), ("LRB", "lrb:3"),
-    ("C3", "counter:3"), ("A2", "group:2"),
+    ("C3", "counter:3"), ("A2", "group:2"), ("T", "group:1"),
 ])
 def test_catalog_models_are_the_named_monoids(variety, monoid):
     assert monvar.lookup(variety).model is named_monoid(monoid)
