@@ -127,6 +127,18 @@ class RewriteStep:
     def target(self) -> str:
         return self.prefix + self._expand(self.replacement) + self.suffix
 
+    def _key(self):
+        # Identity equality is unordered, so compare the oriented sides
+        return (self.prefix, self.pattern, self.replacement, self.mapping, self.suffix)
+
+    def __eq__(self, other):
+        if not isinstance(other, RewriteStep):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
 
 @dataclass(frozen=True)
 class Derivation:

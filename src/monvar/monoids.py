@@ -7,13 +7,16 @@ are oriented length-lexicographically and applied to a fixpoint.  The
 table is composed from the right Cayley graph of the normal forms
 (Froidure & Pin 1997), and a table that breaks a defining relation or
 associativity is refused.  Associativity is checked with Light's test
-over a generating set, O(n^2) per generator.
+over a generating set, O(n^2) per generator.  Identities are checked
+over the assignment cube in lexicographic chunks of at most 2^20 cells,
+stopping at the first violation, so memory does not grow with n^k.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import os
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -379,37 +382,59 @@ def _guard(m: FiniteMonoid, letters, allow_large: bool):
             " pass allow_large=True to force the search")
 
 
-def _eval_word(m: FiniteMonoid, word: str, letters: list[str]):
-    if not word:
-        return np.asarray(m.one, dtype=m.table.dtype)
-    n = len(m)
-    axis = {c: k for k, c in enumerate(letters)}
-    shape = [1] * len(letters)
-    acc = None
-    for c in word:
-        shape_c = list(shape)
-        shape_c[axis[c]] = n
-        e = np.arange(n, dtype=m.table.dtype).reshape(shape_c)
-        acc = e if acc is None else m.table[acc, e]
-    return acc
+_CHUNK_CELLS = 1 << 20
 
 
 def find_counterexample(m: FiniteMonoid, ident: Identity,
                         allow_large: bool = False) -> dict[str, str] | None:
-    """First violating assignment (letters sorted, elements in table order)."""
+    """First violating assignment (letters sorted, elements in table order).
+
+    The assignment cube is scanned in chunks of at most _CHUNK_CELLS cells:
+    the fewest leading letters that make the rest fit are fixed to each
+    tuple of values in lexicographic order, and the remaining letters span
+    one axis each of the chunk.  Each side up to its first fixed letter is
+    evaluated once for all chunks, the common prefix of the two sides is
+    evaluated once for both, and the scan stops at the first chunk with a
+    violation, so the witness is the lexicographically first one."""
     letters = sorted(ident.letters())
     if not letters:
         return None
     _guard(m, letters, allow_large)
-    lhs = _eval_word(m, ident.lhs, letters)
-    rhs = _eval_word(m, ident.rhs, letters)
-    # every letter occurs on some side, so the comparison broadcasts to the
-    # full assignment cube and argwhere rows index all the letters
-    diff = np.argwhere(lhs != rhs)
-    if diff.size == 0:
-        return None
-    first = diff[0]
-    return {c: m.names[int(first[k])] for k, c in enumerate(letters)}
+    n, k = len(m), len(letters)
+    lead = next(j for j in range(k + 1) if n ** (k - j) <= _CHUNK_CELLS)
+    shape = (n,) * (k - lead)
+    axes = {c: np.arange(n, dtype=m.table.dtype).reshape(
+                [n if j == i else 1 for j in range(k - lead)])
+            for i, c in enumerate(letters[lead:])}
+    fixed = {}
+
+    def times(acc, word):
+        for c in word:
+            a = fixed.get(c)
+            # a fixed letter is a scalar: gather from its column
+            acc = m.table[acc, axes[c]] if a is None else np.take(m.table[:, a], acc)
+        return acc
+
+    lhs, rhs = ident.lhs, ident.rhs
+    # hl, hr: where each side meets its first fixed letter; s: how much of
+    # the common prefix lies before it
+    common = len(os.path.commonprefix([lhs, rhs]))
+    hl, hr = (next((i for i, c in enumerate(w) if c in letters[:lead]), len(w))
+              for w in (lhs, rhs))
+    s = min(common, hl, hr)
+    start = times(m.one, lhs[:s])
+    left0, right0 = times(start, lhs[s:hl]), times(start, rhs[s:hr])
+    for values in itertools.product(range(n), repeat=lead):
+        fixed = dict(zip(letters, values))
+        left, right = left0, right0
+        if common > s:  # then hl == hr == s, and the sides agree up to common
+            left = right = times(left0, lhs[s:common])
+        # every free letter occurs on some side, so diff spans the chunk
+        diff = times(left, lhs[max(common, hl):]) != times(right, rhs[max(common, hr):])
+        if diff.any():
+            cell = np.unravel_index(diff.argmax(), shape)
+            return {c: m.names[int(i)] for c, i in zip(letters, values + cell)}
+    return None
 
 
 # ---------------------------------------------------------------------------

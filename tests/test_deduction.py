@@ -172,6 +172,20 @@ def _step(word, ident_text, pos, width, mapping, flipped=False):
     )
 
 
+def test_rewrite_step_equality_follows_orientation():
+    mapping = (("x", "x"),)
+    forward = RewriteStep("", parse_identity("x2=x3"), False, mapping, "")
+    backward = RewriteStep("", parse_identity("x3=x2"), False, mapping, "")
+    assert (forward.source, forward.target) == ("xx", "xxx")
+    assert (backward.source, backward.target) == ("xxx", "xx")
+    assert forward != backward
+    assert len({forward, backward}) == 2
+    # the same rewrite xx -> xxx spelled through the flipped identity
+    respelled = RewriteStep("", parse_identity("x3=x2"), True, mapping, "")
+    assert forward == respelled
+    assert hash(forward) == hash(respelled)
+
+
 def test_check_derivation_two_step():
     # x2y -> x3y -> yx2 over {x3yz = yxzx}; the first step rewrites the
     # window xx backwards (xi sends y and z to the empty word)

@@ -1,11 +1,15 @@
 import itertools
 import random
 import time
+import tracemalloc
 from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from monvar import monoids
 from monvar.monoids import (
     FiniteMonoid,
     InvalidTable,
@@ -24,12 +28,13 @@ from monvar.monoids import (
     is_completely_regular,
     load_monoid,
     monoid_index_period,
+    named_monoid,
     opposite,
     parse_presentation,
     parse_table,
     presentation,
 )
-from monvar.words import ParseError, format_word, initial_part, parse_identity, reverse
+from monvar.words import Identity, ParseError, format_word, initial_part, parse_identity, reverse
 
 D2_PRES = presentation("a b", "a2=0", "b2=0", "bab=0")
 R_PRES = presentation("a b", "a3=0", "b2=0", "ba=0")
@@ -469,6 +474,75 @@ def test_search_guard():
         find_counterexample(rxr, parse_identity("abcde=edcba"))
     # four letters stay under it
     assert find_counterexample(rxr, parse_identity("x3yzt=yxzxtx")) is None
+
+
+def _first_violation(m, ident):
+    """Pure-Python oracle: the first violating assignment over the sorted
+    letters, elements in table order, or None."""
+    letters = sorted(ident.letters())
+    table = m.table.tolist()
+
+    def value(word, at):
+        acc = m.one
+        for c in word:
+            acc = table[acc][at[c]]
+        return acc
+
+    for names in itertools.product(m.names, repeat=len(letters)):
+        at = {c: m.index(x) for c, x in zip(letters, names)}
+        if value(ident.lhs, at) != value(ident.rhs, at):
+            return dict(zip(letters, names))
+    return None
+
+
+# a builtin model, an alphabet, a left word, and a right word that often
+# extends a prefix of the left one, so that common prefixes are drawn
+_SCAN_CASES = st.tuples(
+    st.sampled_from(("D2", "R", "Rop", "counter:3", "group:4", "lrb:2", "lrb:3")),
+    st.integers(1, 4).map(lambda k: "xyzt"[:k]),
+    st.integers(1, 8),  # chunk cells: most draws span many chunks
+    st.data())
+
+
+def test_chunked_scan_matches_the_first_violation_oracle(monkeypatch):
+    seen = set()
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(_SCAN_CASES)
+    def check(drawn):
+        name, alphabet, chunk, data = drawn
+        words = st.text(alphabet=alphabet, max_size=6)
+        u = data.draw(words, label="u")
+        v = data.draw(st.one_of(words, st.builds(
+            lambda i, w: (u[:i] + w)[:6], st.integers(0, len(u)), words)), label="v")
+        m = named_monoid(name)
+        ident = Identity(u, v)
+        expected = _first_violation(m, ident)
+        seen.add(expected is None)
+        assert find_counterexample(m, ident) == expected  # a single chunk
+        with monkeypatch.context() as patch:
+            patch.setattr(monoids, "_CHUNK_CELLS", chunk)
+            assert find_counterexample(m, ident) == expected
+
+    check()
+    assert seen == {True, False}
+
+
+@pytest.mark.parametrize("text, witness", [
+    ("xyzt=xyztzx", None),
+    ("xyzt=yxzt", {"t": "1", "x": "x", "y": "y", "z": "1"}),
+], ids=["holds", "fails"])
+def test_model_check_memory_does_not_grow_with_the_cube(text, witness):
+    # 65^4 = 17.8 M assignment cells; the chunked scan holds about 2^20
+    m = free_lrb_monoid(4)
+    tracemalloc.start()
+    try:
+        found = find_counterexample(m, parse_identity(text))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+    assert found == witness
 
 
 def test_parse_presentation_file(tmp_path):
