@@ -325,8 +325,11 @@ def decide_identity(v: VarietySpec, ident: Identity,
 
 def _rule_failure(v: VarietySpec, ident: Identity, reason: str) -> Verdict:
     witness = None
-    if v.model is not None and len(v.model) ** len(ident.letters()) <= 10**6:
-        witness = find_counterexample(v.model, ident)
+    if v.model is not None:
+        try:
+            witness = find_counterexample(v.model, ident)
+        except SearchCapExceeded:  # the rule has decided
+            pass
     return Verdict(FAILS, witness=witness, reason=reason)
 
 

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import itertools
 import re
+from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 
 ALPHABET = "abcdefghijklmnopqrstuvwxyz"
 
@@ -154,38 +156,96 @@ def reverse(word: str) -> str:
 # pattern matching and the embedding quasi-order
 
 
+@lru_cache(maxsize=512)
+def _compile(pattern: str) -> tuple:
+    """Per position of `pattern`: (letter, count, earlier, later).
+
+    At a repeated letter count is 0: its image is already fixed.  At a
+    letter's first occurrence, count is its number of occurrences in the
+    suffix from there, earlier holds the (letter, count) pairs of the suffix's
+    letters introduced before it, in first-occurrence order, and later is the
+    number of suffix occurrences of letters introduced after it."""
+    first = {}
+    for i, c in enumerate(pattern):
+        first.setdefault(c, i)
+    steps = []
+    for i, c in enumerate(pattern):
+        if first[c] < i:
+            steps.append((c, 0, (), 0))
+            continue
+        counts = Counter(pattern[i:])
+        earlier = tuple((d, k) for d, k in counts.items() if first[d] < i)
+        later = sum(k for d, k in counts.items() if first[d] > i)
+        steps.append((c, counts[c], earlier, later))
+    return tuple(steps)
+
+
 def match_substitutions(pattern: str, window: str, allow_empty: bool = False):
     """Yield every letter->word map whose expansion of `pattern` is `window`.
 
     With allow_empty the maps are monoid-endomorphism images (empty words
     allowed); otherwise every image is nonempty.  Deterministic order:
     images are tried shortest first, scanning the pattern left to right.
+
+    A letter's first occurrence only tries image lengths that leave room for
+    the rest of the pattern (the images fixed so far, and the shortest
+    allowed image per occurrence of a letter still open), so what is left of
+    the pattern never needs more than what is left of the window.  The last
+    letter to appear has its length forced by that room, after which the
+    rest of the pattern spells out exactly the rest of the window.
     """
+    if not pattern:
+        if not window:
+            yield {}
+        return
     lo = 0 if allow_empty else 1
-
-    def rec(pi: int, wi: int, assign: dict):
-        if pi == len(pattern):
-            if wi == len(window):
-                yield dict(assign)
-            return
-        # cheap lower bound on the remaining window demand
-        need = 0
-        for c in set(pattern[pi:]):
-            need += pattern.count(c, pi) * (len(assign[c]) if c in assign else lo)
-        if need > len(window) - wi:
-            return
-        c = pattern[pi]
-        img = assign.get(c)
-        if img is not None:
-            if window.startswith(img, wi):
-                yield from rec(pi + 1, wi + len(img), assign)
-            return
-        for ln in range(lo, len(window) - wi + 1 - (need - lo)):
+    steps = _compile(pattern)
+    n, end = len(pattern), len(window)
+    assign = {}
+    choices = []  # [position, window index, image length, longest length]
+    pi = wi = 0
+    while True:
+        while pi < n:
+            c, k, earlier, later = steps[pi]
+            if not k:
+                img = assign[c]
+                if not window.startswith(img, wi):
+                    break
+                pi += 1
+                wi += len(img)
+                continue
+            room = end - wi - lo * later
+            for d, kd in earlier:
+                room -= kd * len(assign[d])
+            if later:
+                ln, hi = lo, room // k
+                if ln > hi:
+                    break
+            else:  # the last letter to appear: the room fixes its length
+                ln, odd = divmod(room, k)
+                if odd or ln < lo:
+                    break
+                hi = ln
+            choices.append([pi, wi, ln, hi])
             assign[c] = window[wi:wi + ln]
-            yield from rec(pi + 1, wi + ln, assign)
-        assign.pop(c, None)
-
-    yield from rec(0, 0, {})
+            pi += 1
+            wi += ln
+        else:
+            yield dict(assign)
+        # backtrack to the innermost first occurrence with a longer image left
+        while choices:
+            top = choices[-1]
+            top[2] += 1
+            if top[2] <= top[3]:
+                pi, wi = top[0], top[1]
+                assign[pattern[pi]] = window[wi:wi + top[2]]
+                pi += 1
+                wi += top[2]
+                break
+            del assign[pattern[top[0]]]
+            choices.pop()
+        else:
+            return
 
 
 def embeds(u: str, v: str) -> bool:

@@ -42,6 +42,18 @@ def test_check_com_witness_beyond_search_cap_is_omitted(capsys):
     assert "counterexample: t -> 1, x -> a, y -> 1, z -> 1" in out
 
 
+def test_check_rule_verdict_searches_its_model_up_to_the_guard(capsys):
+    # 16^6 cells: inside the shared 2*10^8 guard, so the witness is printed
+    code, out, _ = run(capsys, "check", "LRB", "xyztab=yxztab")
+    assert code == 1
+    assert "counterexample: a -> 1, b -> 1, t -> 1, x -> x, y -> y, z -> 1" in out
+    # 16^7 cells: past the guard, the rule's verdict stands without a witness
+    code, out, _ = run(capsys, "check", "LRB", "xyztabc=yxztabc")
+    assert code == 1
+    assert "fails" in out
+    assert "counterexample:" not in out
+
+
 def test_check_com_witness_past_the_element_cap_is_omitted(capsys):
     # the witness would be counter:20001, past from_presentation's cap
     code, out, _ = run(capsys, "check", "COM", "x20000=1")

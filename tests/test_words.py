@@ -2,7 +2,10 @@ import itertools
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from monvar.varieties import K_LHS, K_RHS, enumerate_W
 from monvar.words import (
     ParseError,
     Substitution,
@@ -12,11 +15,13 @@ from monvar.words import (
     embeds,
     format_word,
     initial_part,
+    match_substitutions,
     occ,
     parse_identity,
     parse_word,
     reverse,
 )
+from monvar.words import _compile
 
 P = "yyxttzzyyttxzz"
 Q = "yyxttzzxyyttxzz"
@@ -190,3 +195,75 @@ def test_words_with_fixed_multiset_form_an_anti_chain():
     for u in words:
         for v in words:
             assert embeds(u, v) == (u == v), (u, v)
+
+
+# the recursive matcher that the compiled one replaced, kept as the oracle
+def _recursive_match_substitutions(pattern: str, window: str, allow_empty: bool = False):
+    """Yield every letter->word map whose expansion of `pattern` is `window`.
+
+    With allow_empty the maps are monoid-endomorphism images (empty words
+    allowed); otherwise every image is nonempty.  Deterministic order:
+    images are tried shortest first, scanning the pattern left to right.
+    """
+    lo = 0 if allow_empty else 1
+
+    def rec(pi: int, wi: int, assign: dict):
+        if pi == len(pattern):
+            if wi == len(window):
+                yield dict(assign)
+            return
+        # cheap lower bound on the remaining window demand
+        need = 0
+        for c in set(pattern[pi:]):
+            need += pattern.count(c, pi) * (len(assign[c]) if c in assign else lo)
+        if need > len(window) - wi:
+            return
+        c = pattern[pi]
+        img = assign.get(c)
+        if img is not None:
+            if window.startswith(img, wi):
+                yield from rec(pi + 1, wi + len(img), assign)
+            return
+        for ln in range(lo, len(window) - wi + 1 - (need - lo)):
+            assign[c] = window[wi:wi + ln]
+            yield from rec(pi + 1, wi + ln, assign)
+        assign.pop(c, None)
+
+    yield from rec(0, 0, {})
+
+
+def _same_matches(pattern, window, allow_empty):
+    new = list(match_substitutions(pattern, window, allow_empty))
+    old = list(_recursive_match_substitutions(pattern, window, allow_empty))
+    # equal lists of equal maps, each map also built in the same key order
+    assert new == old, (pattern, window, allow_empty)
+    assert [list(m) for m in new] == [list(m) for m in old], (pattern, window, allow_empty)
+
+
+@settings(max_examples=800, deadline=None, derandomize=True, database=None)
+@given(st.text(alphabet="xyz", max_size=6), st.text(alphabet="ab", max_size=9),
+       st.booleans())
+@example("", "", False)
+@example("", "a", True)
+@example("xyx", "", True)
+@example("xxyxx", "aabaa", False)
+@example("xyy", "abaa", False)
+def test_matcher_matches_the_recursive_oracle(pattern, window, allow_empty):
+    _same_matches(pattern, window, allow_empty)
+
+
+def test_matcher_matches_the_recursive_oracle_on_a_w_family_word():
+    word = max(enumerate_W((2, 3)), key=len)
+    for side in (K_LHS, K_RHS):
+        for i in range(len(word) + 1):
+            for j in range(i, len(word) + 1):
+                _same_matches(side, word[i:j], True)
+
+
+def test_compile_cache_stays_bounded():
+    maxsize = _compile.cache_info().maxsize
+    assert maxsize is not None
+    for n in range(1, maxsize + 50):
+        u = bin(n)[2:].replace("0", "x").replace("1", "y")
+        assert embeds(u, u)
+    assert _compile.cache_info().currsize <= maxsize
