@@ -181,6 +181,32 @@ def test_monoid_satisfies(capsys):
     assert "x -> a" in out
 
 
+def test_monoid_satisfies_a_trivial_identity_past_the_guard(capsys):
+    # 65^5 cells, but both sides are the same word: nothing is scanned
+    code, out, err = run(capsys, "monoid", "satisfies", "lrb:4", "abcde=abcde")
+    assert code == 0 and not err
+    assert out == "lrb:4 satisfies abcde=abcde\n"
+
+
+def test_guard_message_names_the_cube_the_limit_and_the_flag(capsys):
+    code, out, err = run(capsys, "monoid", "satisfies", "lrb:4", "abcde=edcba")
+    assert code == 3 and not out
+    assert "65^5 = 1160290625 cells" in err
+    assert "2*10^8 cells" in err
+    assert "monoid satisfies --allow-large" in err
+
+
+def test_products_decide_holding_identities_on_their_factors(capsys):
+    # 49^5 cells on RxRop, 7^5 on each of R and Rop: the identity holds in both
+    code, out, _ = run(capsys, "check", "RvRop", "x4yzta=x3yzta")
+    assert code == 0
+    assert "holds in the generating monoid of order 49" in out
+    # a failing identity still needs the product's own cube for its witness
+    code, out, err = run(capsys, "monoid", "satisfies", "RxRop", "xyzta=yxzta")
+    assert code == 3 and not out
+    assert "49^5" in err
+
+
 def test_monoid_info(capsys):
     code, out, _ = run(capsys, "monoid", "info", "counter:2")
     assert code == 0

@@ -528,6 +528,39 @@ def test_chunked_scan_matches_the_first_violation_oracle(monkeypatch):
     assert seen == {True, False}
 
 
+def test_factor_decision_matches_the_full_scan():
+    c2 = named_monoid("counter:2")
+    # each product with the letters its pure-Python oracle scans in good time
+    products = [(named_monoid("RxRop"), "xyz"),
+                (direct_product(c2, named_monoid("group:3")), "xyzt"),
+                (direct_product(named_monoid("RxRop"), c2), "xy")]
+    assert products[2][0].factors[0].factors  # a nested product
+    twins = [FiniteMonoid(p.names, p.table, p.one, p.zero) for p, _ in products]
+    seen = set()
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.integers(0, len(products) - 1), st.data())
+    def check(which, data):
+        p, alphabet = products[which]
+        alphabet = alphabet[:data.draw(st.integers(1, len(alphabet)), label="k")]
+        words = st.text(alphabet=alphabet, max_size=3)
+        if data.draw(st.booleans(), label="powers"):
+            # u c^a w = u c^b w holds in some factors and fails in others
+            pre, post = data.draw(words, label="pre"), data.draw(words, label="post")
+            c = data.draw(st.sampled_from(alphabet), label="c")
+            a, b = data.draw(st.integers(0, 6), label="a"), data.draw(st.integers(0, 6), label="b")
+            ident = Identity(pre + c * a + post, pre + c * b + post)
+        else:
+            ident = Identity(data.draw(words, label="u"), data.draw(words, label="v"))
+        expected = _first_violation(p, ident)
+        seen.add(expected is None)
+        assert find_counterexample(twins[which], ident) == expected
+        assert find_counterexample(p, ident) == expected
+
+    check()
+    assert seen == {True, False}
+
+
 @pytest.mark.parametrize("text, witness", [
     ("xyzt=xyztzx", None),
     ("xyzt=yxzt", {"t": "1", "x": "x", "y": "y", "z": "1"}),
