@@ -1,17 +1,20 @@
 """Catalog of named monoid varieties and their decision procedures.
 
 Each entry carries a defining identity basis and/or a generating finite
-monoid, plus a decision rule tag.  Rule-based entries (content, occurrence,
-capped occurrence, modular occurrence, initial part) decide their word
-problem exactly; finite-model entries are decided by exhaustive model
-checking; the rest fall back to bounded deduction plus a registered list
-of refutation models, answering unknown honestly when both are silent.
+monoid, plus a decision rule tag.  Rule-based entries (content, initial
+part, occurrence, capped occurrence, modular occurrence) are rows of one
+table of word invariants: u = v holds iff u and v have the same invariant,
+and a failure is witnessed in the generating monoid.  Finite-model entries
+are decided by exhaustive model checking; the rest fall back to bounded
+deduction plus a registered list of refutation models, answering unknown
+honestly when both are silent.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -123,8 +126,10 @@ def _semilattice_2():
     return from_table(["1", "e"], [["1", "e"], ["e", "e"]], "1")
 
 
-D2_BASIS = ("x3=x2", "x3yzt=yxzxtx", "xyzxty=yxzxty", "xzxyty=xzyxty", "xtyzxy=xtyzyx")
-RVROP_BASIS = ("x4=x3", "x3yzt=yxzxtx", "xyzxty=yxzxty", "xzxyty=xzyxty", "xtyzxy=xtyzyx")
+# the four identities that D2's basis shares with RvRop's
+_D2_RVROP_COMMON = ("x3yzt=yxzxtx", "xyzxty=yxzxty", "xzxyty=xzyxty", "xtyzxy=xtyzyx")
+D2_BASIS = ("x3=x2",) + _D2_RVROP_COMMON
+RVROP_BASIS = ("x4=x3",) + _D2_RVROP_COMMON
 D_BASIS = ("x2=x3", "x2y=xyx", "xyx=yx2")
 E_BASIS = ("x2=x3", "x2y=xyx", "x2y2=y2x2")
 
@@ -215,6 +220,7 @@ def variety_Z(n: int, v: str) -> VarietySpec:
 
 
 _FAMILY = re.compile(r"([CBA])(\d+)$")
+_FAMILIES = {"C": variety_C, "B": variety_B, "A": variety_A}
 
 
 def lookup(name: str) -> VarietySpec:
@@ -225,12 +231,7 @@ def lookup(name: str) -> VarietySpec:
         return fixed[key]
     m = _FAMILY.match(key)
     if m:
-        fam, num = m.group(1), int(m.group(2))
-        if fam == "C":
-            return variety_C(num)
-        if fam == "B":
-            return variety_B(num)
-        return variety_A(num)
+        return _FAMILIES[m.group(1)](int(m.group(2)))
     if key.startswith("Z:"):
         parts = key.split(":")
         if len(parts) != 3:
@@ -251,54 +252,43 @@ def catalog() -> dict[str, VarietySpec]:
 # the word problem
 
 
-def _occ_vector(word, letters):
-    return tuple(occ(word, c) for c in letters)
+# rule tag -> (invariant of (word, param), reason when the two sides'
+# invariants agree, reason when they differ).  The reasons are formatted with
+# the invariants l and r, the parameter p, and bad, the first letter (in
+# sorted order) whose occurrence counts differ.
+_INVARIANTS = {
+    RULE_SL: (lambda w, p: "".join(sorted(set(w))) or "1",
+              "equal contents", "contents differ: {l} vs {r}"),
+    RULE_LRB: (lambda w, p: initial_part(w) or "1",
+               "equal initial parts ({l})", "initial parts differ: {l} vs {r}"),
+    RULE_COM: (lambda w, p: Counter(w),
+               "equal occurrence counts", "occurrence counts differ at {bad}"),
+    RULE_CN: (lambda w, p: {c: min(k, p) for c, k in Counter(w).items()},
+              "occurrence counts agree capped at {p}",
+              "occurrence counts differ capped at {p}"),
+    RULE_AM: (lambda w, p: {c: k % p for c, k in Counter(w).items() if k % p},
+              "occurrence counts agree mod {p}", "occurrence counts differ mod {p}"),
+}
 
 
 def decide_identity(v: VarietySpec, ident: Identity,
                     bounds: Bounds = Bounds()) -> Verdict:
     lhs, rhs = ident.lhs, ident.rhs
-    letters = sorted(ident.letters())
 
-    if v.rule == RULE_LRB:
-        li, ri = initial_part(lhs), initial_part(rhs)
-        if li == ri:
-            return Verdict(HOLDS, reason=f"equal initial parts ({li or '1'})")
-        return _rule_failure(v, ident, f"initial parts differ: {li or '1'} vs {ri or '1'}")
-
-    if v.rule == RULE_SL:
-        lc, rc = sorted(set(lhs)), sorted(set(rhs))
-        if lc == rc:
-            return Verdict(HOLDS, reason="equal contents")
-        return _rule_failure(v, ident,
-                             f"contents differ: {''.join(lc) or '1'} vs {''.join(rc) or '1'}")
-
-    if v.rule == RULE_COM:
-        if _occ_vector(lhs, letters) == _occ_vector(rhs, letters):
-            return Verdict(HOLDS, reason="equal occurrence counts")
-        bad = next(c for c in letters if occ(lhs, c) != occ(rhs, c))
-        try:
-            witness = find_counterexample(
-                named_monoid(f"counter:{max(occ(lhs, bad), occ(rhs, bad)) + 1}"), ident)
+    if v.rule in _INVARIANTS:
+        invariant, agree, differ = _INVARIANTS[v.rule]
+        l, r = invariant(lhs, v.param), invariant(rhs, v.param)
+        if l == r:
+            return Verdict(HOLDS, reason=agree.format(l=l, p=v.param))
+        bad = next((c for c in sorted(ident.letters()) if occ(lhs, c) != occ(rhs, c)), None)
+        try:  # COM has no model: a counter monoid that counts past bad's occurrences
+            model = v.model if v.model is not None else named_monoid(
+                f"counter:{max(occ(lhs, bad), occ(rhs, bad)) + 1}")
+            witness = find_counterexample(model, ident)
         except (LikelyInfinite, SearchCapExceeded):  # the rule has decided
             witness = None
-        return Verdict(FAILS, witness=witness, reason=f"occurrence counts differ at {bad}")
-
-    if v.rule == RULE_CN:
-        n = v.param
-        lv = tuple(min(occ(lhs, c), n) for c in letters)
-        rv = tuple(min(occ(rhs, c), n) for c in letters)
-        if lv == rv:
-            return Verdict(HOLDS, reason=f"occurrence counts agree capped at {n}")
-        return _rule_failure(v, ident, f"occurrence counts differ capped at {n}")
-
-    if v.rule == RULE_AM:
-        mparam = v.param
-        lv = tuple(occ(lhs, c) % mparam for c in letters)
-        rv = tuple(occ(rhs, c) % mparam for c in letters)
-        if lv == rv:
-            return Verdict(HOLDS, reason=f"occurrence counts agree mod {mparam}")
-        return _rule_failure(v, ident, f"occurrence counts differ mod {mparam}")
+        return Verdict(FAILS, witness=witness,
+                       reason=differ.format(l=l, r=r, p=v.param, bad=bad))
 
     if v.rule == RULE_MODEL:
         cx = find_counterexample(v.model, ident)
@@ -321,16 +311,6 @@ def decide_identity(v: VarietySpec, ident: Identity,
                            reason=f"fails in a member monoid of order {len(m)}")
     return Verdict(UNKNOWN, reason="derivation search truncated by bounds and no"
                                    " refutation model applies")
-
-
-def _rule_failure(v: VarietySpec, ident: Identity, reason: str) -> Verdict:
-    witness = None
-    if v.model is not None:
-        try:
-            witness = find_counterexample(v.model, ident)
-        except SearchCapExceeded:  # the rule has decided
-            pass
-    return Verdict(FAILS, witness=witness, reason=reason)
 
 
 # ---------------------------------------------------------------------------

@@ -67,6 +67,20 @@ def test_check_group_identity(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("variety, ident, code, stdout", [
+    ("COM", "xyx=x2y", 0, "COM |- xyx=x2y: holds\n  equal occurrence counts\n"),
+    ("COM", "x2y=xy", 1, "COM |- x2y=xy: fails\n  occurrence counts differ at x\n"
+                         "  counterexample: x -> a, y -> 1\n"),
+    ("C3", "x4y=yx3", 0, "C3 |- x4y=yx3: holds\n  occurrence counts agree capped at 3\n"),
+    ("C3", "x2y=xy", 1, "C3 |- x2y=xy: fails\n  occurrence counts differ capped at 3\n"
+                        "  counterexample: x -> a, y -> 1\n"),
+    ("LRB", "xy=xyx", 0, "LRB |- xy=xyx: holds\n  equal initial parts (xy)\n"),
+    ("A2", "x2y=y", 0, "A2 |- x2y=y: holds\n  occurrence counts agree mod 2\n"),
+])
+def test_check_prints_each_rule_reason(capsys, variety, ident, code, stdout):
+    assert run(capsys, "check", variety, ident)[:2] == (code, stdout)
+
+
 def test_check_unknown_verdict(capsys):
     code, out, _ = run(capsys, "check", "K", "y2xy2=xy4",
                        "--max-len", "6", "--max-depth", "2")

@@ -67,6 +67,22 @@ def test_catalog_models_are_the_named_monoids(variety, monoid):
     assert monvar.lookup(variety).model is named_monoid(monoid)
 
 
+# bench/spans.py buckets traced verdicts by these rule tags
+_RULE_TAGS = {"LRB-ini", "COM-occ", "SL-content", "Cn-cappedocc", "Am-modocc",
+              "finite-model", "deduction-only"}
+
+
+def test_catalog_rule_tags_are_the_strings_the_trace_layer_reads():
+    specs = [*monvar.catalog().values(),
+             *(monvar.lookup(name) for name in ("C4", "B3", "A5", "Z:1:y"))]
+    assert {spec.rule for spec in specs} <= _RULE_TAGS
+    by_tag = {}
+    for spec in specs:
+        by_tag.setdefault(spec.rule, set()).add(spec.name)
+    assert by_tag["finite-model"] == {"T", "D2", "R", "Rop", "RvRop"}
+    assert by_tag["deduction-only"] == {"MON", "D", "E", "K", "Q", "B2", "B3", "Z:1:y"}
+
+
 def _builtins(help_text):
     """Names listed as 'builtin (a, b, family:<n>) or a file', families at 3."""
     listed = re.search(r"builtin \((.*)\) or a file", help_text).group(1)

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from monvar.deduction import Derivation
 from monvar.monoids import (
@@ -147,6 +149,19 @@ def test_am_rule_vs_group_sampled():
             w = "".join(rng.choice("xy") for _ in range(rng.randrange(1, 8)))
             ident = Identity(u, w)
             assert bool(decide_identity(v, ident)) == (find_counterexample(model, ident) is None)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(["SL", "LRB", "C2", "C3", "C4", "A2", "A3", "A4"]),
+       st.text(alphabet="xyz", max_size=6), st.text(alphabet="xyz", max_size=6))
+def test_rule_verdicts_match_the_generating_monoid(name, lhs, rhs):
+    spec = lookup(name)
+    ident = Identity(lhs, rhs)
+    verdict = decide_identity(spec, ident)
+    witness = find_counterexample(spec.model, ident)
+    assert (verdict.value == HOLDS) == (witness is None)
+    if verdict.value == FAILS:
+        assert verdict.witness == witness
 
 
 def test_com_rule_one_directional_against_any_counter():
