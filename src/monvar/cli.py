@@ -158,14 +158,12 @@ def _cmd_lattice(args) -> int:
         count = sum(bool(is_modular_element(lat, i)) for i in range(len(lat)))
         print(f"{count} of {len(lat)} elements are modular")
         return 0
+    print(f"lattice {args.source}: {len(lat)} elements,"
+          f" bottom {lat.bottom}, top {lat.top}")
     if getattr(args, "global"):
-        print(f"lattice {args.source}: {len(lat)} elements,"
-              f" bottom {lat.bottom}, top {lat.top}")
         print(f"modular: {_render_check(is_modular_lattice(lat))}")
         print(f"distributive: {_render_check(is_distributive_lattice(lat))}")
         return 0
-    print(f"lattice {args.source}: {len(lat)} elements,"
-          f" bottom {lat.bottom}, top {lat.top}")
     for name in lat.names:
         rep = classify_element(lat, name)
         print(f"  {name}: modular={_yesno(rep.modular.ok)}"
@@ -218,10 +216,21 @@ def _cmd_verify_paper(args) -> int:
 # parser
 
 
+def _bound(text: str) -> int:
+    """A search bound on the command line: an integer of at least 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
 def _add_bounds(p):
-    p.add_argument("--max-len", type=int, default=Bounds.max_len,
+    p.add_argument("--max-len", type=_bound, default=Bounds.max_len,
                    help="longest intermediate word the search may visit")
-    p.add_argument("--max-depth", type=int, default=Bounds.max_depth,
+    p.add_argument("--max-depth", type=_bound, default=Bounds.max_depth,
                    help="most rewrite steps the search may chain")
 
 

@@ -6,8 +6,9 @@ part, occurrence, capped occurrence, modular occurrence) are rows of one
 table of word invariants: u = v holds iff u and v have the same invariant,
 and a failure is witnessed in the generating monoid.  Finite-model entries
 are decided by exhaustive model checking; the rest fall back to bounded
-deduction plus a registered list of refutation models, answering unknown
-honestly when both are silent.
+deduction plus the refutation models derived from the basis (the members of
+a fixed pool of small monoids), answering unknown honestly when both are
+silent.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import itertools
 import re
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .deduction import (
     NO,
@@ -67,11 +68,20 @@ class VarietySpec:
     model: FiniteMonoid | None = None
     rule: str = RULE_DEDUCTION
     param: int | None = None
-    refutation_models: tuple[FiniteMonoid, ...] = ()
 
     def __post_init__(self):
         if self.basis is None and self.model is None:
             raise ValueError(f"variety {self.name} needs a basis or a model")
+
+    @cached_property
+    def refutation_models(self) -> tuple[FiniteMonoid, ...]:
+        """Members of a deduction-only variety among a fixed pool of small
+        monoids, for refuting identities; () under any other rule."""
+        if self.rule != RULE_DEDUCTION:
+            return ()
+        pool = (_semilattice_2(), named_monoid("counter:2"), named_monoid("counter:3"),
+                named_monoid("group:2"), named_monoid("group:3"))
+        return tuple(m for m in pool if model_contains_basis(m, self.basis))
 
 
 # ---------------------------------------------------------------------------
@@ -81,19 +91,20 @@ K_LHS = parse_word("y2xt2z2y2t2xz2")
 K_RHS = parse_word("y2xt2z2xy2t2xz2")
 K_IDENTITY = Identity(K_LHS, K_RHS)
 
-# run shapes: (letter, exact) with exact=1 pinning single occurrences
-_W1_SHAPE = (("y", 0), ("x", 1), ("t", 0), ("z", 0), ("y", 0), ("t", 0), ("x", 1), ("z", 0))
-_W2_SHAPE = (("y", 0), ("x", 1), ("t", 0), ("z", 0), ("x", 1), ("y", 0), ("t", 0), ("x", 1), ("z", 0))
-
 W1 = "W1"
 W2 = "W2"
 OUTSIDE = "outside"
+
+# the run shapes of the two structure words: (letter, exact), where exact
+# pins a run of length 1 and a free run has length at least 2
+_W_SHAPES = tuple((label, tuple((c, len(list(g)) == 1) for c, g in itertools.groupby(w)))
+                  for label, w in ((W1, K_LHS), (W2, K_RHS)))
 
 
 def membership_in_W(word: str) -> str:
     """Classify into the two-sided family around the K identity."""
     runs = [(c, len(list(g))) for c, g in itertools.groupby(word)]
-    for label, shape in ((W1, _W1_SHAPE), (W2, _W2_SHAPE)):
+    for label, shape in _W_SHAPES:
         if len(runs) != len(shape):
             continue
         ok = all(c == sc and (n == 1 if exact else n >= 2)
@@ -106,14 +117,11 @@ def membership_in_W(word: str) -> str:
 def enumerate_W(exponents=(2, 3)):
     """All family members whose run exponents come from the given set."""
     out = []
-    for shape in (_W1_SHAPE, _W2_SHAPE):
-        slots = [i for i, (_, exact) in enumerate(shape) if not exact]
-        for combo in itertools.product(exponents, repeat=len(slots)):
-            exps = {}
-            for i, e in zip(slots, combo):
-                exps[i] = e
-            out.append("".join(c * (1 if exact else exps[i])
-                               for i, (c, exact) in enumerate(shape)))
+    for _, shape in _W_SHAPES:
+        free = sum(not exact for _, exact in shape)
+        for combo in itertools.product(exponents, repeat=free):
+            exps = iter(combo)
+            out.append("".join(c * (1 if exact else next(exps)) for c, exact in shape))
     return out
 
 
@@ -128,57 +136,32 @@ def _semilattice_2():
 
 # the four identities that D2's basis shares with RvRop's
 _D2_RVROP_COMMON = ("x3yzt=yxzxtx", "xyzxty=yxzxty", "xzxyty=xzyxty", "xtyzxy=xtyzyx")
-D2_BASIS = ("x3=x2",) + _D2_RVROP_COMMON
-RVROP_BASIS = ("x4=x3",) + _D2_RVROP_COMMON
-D_BASIS = ("x2=x3", "x2y=xyx", "xyx=yx2")
-E_BASIS = ("x2=x3", "x2y=xyx", "x2y2=y2x2")
 
 
 def model_contains_basis(m: FiniteMonoid, basis: IdentitySystem) -> bool:
     return all(find_counterexample(m, ident) is None for ident in basis)
 
 
-def _refuters(basis: IdentitySystem) -> tuple[FiniteMonoid, ...]:
-    """Registered members of the variety, for refuting identities."""
-    pool = (_semilattice_2(), named_monoid("counter:2"), named_monoid("counter:3"),
-            named_monoid("group:2"), named_monoid("group:3"))
-    return tuple(m for m in pool if model_contains_basis(m, basis))
-
-
 @lru_cache(maxsize=None)
 def _fixed_entries() -> dict[str, VarietySpec]:
-    entries = {}
-
-    def add(spec):
-        entries[spec.name] = spec
-
-    add(VarietySpec("T", basis=system("x=1"), model=named_monoid("group:1"), rule=RULE_MODEL))
-    add(VarietySpec("SL", basis=system("x2=x", "xy=yx"), model=_semilattice_2(),
-                    rule=RULE_SL))
-    add(VarietySpec("COM", basis=system("xy=yx"), rule=RULE_COM))
-    mon_basis = IdentitySystem(frozenset(), "MON")
-    add(VarietySpec("MON", basis=mon_basis, rule=RULE_DEDUCTION))
-    d_basis = system(*D_BASIS, name="D")
-    add(VarietySpec("D", basis=d_basis, rule=RULE_DEDUCTION,
-                    refutation_models=_refuters(d_basis)))
-    add(VarietySpec("D2", basis=system(*D2_BASIS, name="D2"), model=named_monoid("D2"),
-                    rule=RULE_MODEL))
-    e_basis = system(*E_BASIS, name="E")
-    add(VarietySpec("E", basis=e_basis, rule=RULE_DEDUCTION,
-                    refutation_models=_refuters(e_basis)))
-    k_basis = IdentitySystem(frozenset([K_IDENTITY]), "K")
-    add(VarietySpec("K", basis=k_basis, rule=RULE_DEDUCTION,
-                    refutation_models=_refuters(k_basis)))
-    add(VarietySpec("LRB", basis=system("xy=xyx"), model=named_monoid("lrb:3"),
-                    rule=RULE_LRB))
-    q_basis = system("yxyzxy=yxzxyxz", name="Q")
-    add(VarietySpec("Q", basis=q_basis, rule=RULE_DEDUCTION,
-                    refutation_models=_refuters(q_basis)))
-    add(VarietySpec("R", model=named_monoid("R"), rule=RULE_MODEL))
-    add(VarietySpec("Rop", model=named_monoid("Rop"), rule=RULE_MODEL))
-    add(VarietySpec("RvRop", basis=system(*RVROP_BASIS, name="RvRop"),
-                    model=named_monoid("RxRop"), rule=RULE_MODEL))
-    return entries
+    specs = (
+        VarietySpec("T", basis=system("x=1"), model=named_monoid("group:1"), rule=RULE_MODEL),
+        VarietySpec("SL", basis=system("x2=x", "xy=yx"), model=_semilattice_2(), rule=RULE_SL),
+        VarietySpec("COM", basis=system("xy=yx"), rule=RULE_COM),
+        VarietySpec("MON", basis=IdentitySystem(frozenset(), "MON")),
+        VarietySpec("D", basis=system("x2=x3", "x2y=xyx", "xyx=yx2", name="D")),
+        VarietySpec("D2", basis=system("x3=x2", *_D2_RVROP_COMMON, name="D2"),
+                    model=named_monoid("D2"), rule=RULE_MODEL),
+        VarietySpec("E", basis=system("x2=x3", "x2y=xyx", "x2y2=y2x2", name="E")),
+        VarietySpec("K", basis=system(K_IDENTITY, name="K")),
+        VarietySpec("LRB", basis=system("xy=xyx"), model=named_monoid("lrb:3"), rule=RULE_LRB),
+        VarietySpec("Q", basis=system("yxyzxy=yxzxyxz", name="Q")),
+        VarietySpec("R", model=named_monoid("R"), rule=RULE_MODEL),
+        VarietySpec("Rop", model=named_monoid("Rop"), rule=RULE_MODEL),
+        VarietySpec("RvRop", basis=system("x4=x3", *_D2_RVROP_COMMON, name="RvRop"),
+                    model=named_monoid("RxRop"), rule=RULE_MODEL),
+    )
+    return {spec.name: spec for spec in specs}
 
 
 def variety_C(n: int) -> VarietySpec:
@@ -193,9 +176,7 @@ def variety_C(n: int) -> VarietySpec:
 def variety_B(n: int) -> VarietySpec:
     if n < 1:
         raise ValueError("variety_B needs n >= 1")
-    basis = system(f"x{n}=x{n + 1}", name=f"B{n}")
-    return VarietySpec(f"B{n}", basis=basis, rule=RULE_DEDUCTION, param=n,
-                       refutation_models=_refuters(basis))
+    return VarietySpec(f"B{n}", basis=system(f"x{n}=x{n + 1}", name=f"B{n}"), param=n)
 
 
 def variety_A(m: int) -> VarietySpec:
@@ -215,8 +196,7 @@ def variety_Z(n: int, v: str) -> VarietySpec:
         Identity("x" * (n + 1), "x" * (n + 2)),
         Identity("x" * n + v, "x" * (n + 1) + v),
     ]), name=f"Z:{n}:{v}")
-    return VarietySpec(f"Z:{n}:{v}", basis=basis, rule=RULE_DEDUCTION, param=n,
-                       refutation_models=_refuters(basis))
+    return VarietySpec(f"Z:{n}:{v}", basis=basis, param=n)
 
 
 _FAMILY = re.compile(r"([CBA])(\d+)$")

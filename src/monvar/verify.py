@@ -32,30 +32,19 @@ from .lattices import (
     jezek_modular,
     partition_lattice,
 )
-from .monoids import (
-    cyclic_counter,
-    cyclic_group,
-    find_counterexample,
-    free_lrb_monoid,
-    named_monoid,
-)
+from .monoids import find_counterexample
 from .varieties import (
-    D2_BASIS,
-    D_BASIS,
     FAILS,
     HOLDS,
-    K_IDENTITY,
     K_LHS,
     K_RHS,
     OUTSIDE,
-    RVROP_BASIS,
     decide_identity,
     enumerate_W,
     is_isoterm_power,
     lookup,
     membership_in_W,
     model_contains_basis,
-    variety_C,
 )
 from .words import Identity, Substitution, delete_letters, format_word, initial_part, occ
 from .words import parse_identity, parse_word, reverse
@@ -194,61 +183,57 @@ def _check_partitions():
     return "brute force matches the one-fused-block rule up to k=5; 12 of 15 at k=4"
 
 
+def _rule_verdicts(spec, rng, letters, where=""):
+    """Yield (identity, holds) for 200 random identities over letters, each
+    rule verdict checked against the generating monoid on the way."""
+    for _ in range(200):
+        u = "".join(rng.choice(letters) for _ in range(rng.randrange(0, 9)))
+        v = "".join(rng.choice(letters) for _ in range(rng.randrange(0, 9)))
+        ident = Identity(u, v)
+        holds = decide_identity(spec, ident).value == HOLDS
+        _require(holds == (find_counterexample(spec.model, ident) is None),
+                 f"disagreement on {ident}{where}")
+        yield ident, holds
+
+
 def _check_lrb_rule():
     spec = lookup("LRB")
-    model = free_lrb_monoid(3)
     _require(decide_identity(spec, parse_identity("xy=xyx")).value == HOLDS)
     _require(decide_identity(spec, parse_identity("xy=yx")).value == FAILS)
-    rng = random.Random(20260814)
     agree = 0
-    for _ in range(200):
-        u = "".join(rng.choice("xyz") for _ in range(rng.randrange(0, 9)))
-        v = "".join(rng.choice("xyz") for _ in range(rng.randrange(0, 9)))
-        ident = Identity(u, v)
-        by_rule = decide_identity(spec, ident).value == HOLDS
-        by_model = find_counterexample(model, ident) is None
-        _require(by_rule == by_model, f"disagreement on {ident}")
-        _require(by_rule == (initial_part(u) == initial_part(v)), f"closed form off on {ident}")
+    for ident, holds in _rule_verdicts(spec, random.Random(20260814), "xyz"):
+        _require(holds == (initial_part(ident.lhs) == initial_part(ident.rhs)),
+                 f"closed form off on {ident}")
         agree += 1
     return f"initial-part rule matches the 16-element model on {agree} random identities"
 
 
 def _check_abelian_rule():
     rng = random.Random(97)
-    total = 0
-    for m in (2, 3):
-        spec = lookup(f"A{m}")
-        model = cyclic_group(m)
-        for _ in range(200):
-            u = "".join(rng.choice("xy") for _ in range(rng.randrange(0, 9)))
-            v = "".join(rng.choice("xy") for _ in range(rng.randrange(0, 9)))
-            ident = Identity(u, v)
-            by_rule = decide_identity(spec, ident).value == HOLDS
-            by_model = find_counterexample(model, ident) is None
-            _require(by_rule == by_model, f"disagreement on {ident} at exponent {m}")
-            total += 1
+    total = sum(1 for m in (2, 3)
+                for _ in _rule_verdicts(lookup(f"A{m}"), rng, "xy", f" at exponent {m}"))
     return f"occurrences-mod-m rule matches cyclic groups on {total} random identities"
 
 
 def _check_presented_bases():
-    d2 = named_monoid("D2")
-    _require(set(d2.names) == {"1", "a", "b", "ab", "ba", "aba", "0"})
-    _require(model_contains_basis(d2, system(*D2_BASIS)), "7-element monoid breaks its basis")
-    _require(find_counterexample(d2, parse_identity("x2=x")) is not None)
+    d2 = lookup("D2")
+    _require(set(d2.model.names) == {"1", "a", "b", "ab", "ba", "aba", "0"})
+    _require(model_contains_basis(d2.model, d2.basis), "7-element monoid breaks its basis")
+    _require(find_counterexample(d2.model, parse_identity("x2=x")) is not None)
 
-    r = named_monoid("R")
+    r = lookup("R").model
     _require(set(r.names) == {"1", "a", "b", "a2", "ab", "a2b", "0"})
 
-    rxr = named_monoid("RxRop")
-    _require(len(rxr) == 49)
-    _require(model_contains_basis(rxr, system(*RVROP_BASIS)), "product breaks its basis")
-    _require(find_counterexample(rxr, parse_identity("x2=x3")) is not None)
+    rvrop = lookup("RvRop")
+    _require(len(rvrop.model) == 49)
+    _require(model_contains_basis(rvrop.model, rvrop.basis), "product breaks its basis")
+    _require(find_counterexample(rvrop.model, parse_identity("x2=x3")) is not None)
     return "both presented monoids validate and satisfy their five-identity bases"
 
 
 def _check_d_single_basis():
     single = system("x3yz=yxzx", name="D-single")
-    basis = system(*D_BASIS, name="D")
+    basis = lookup("D").basis
     for ident in basis.ordered():
         res = derivable(ident.lhs, ident.rhs, single, max_len=8, max_depth=4)
         _require(res.status == YES, f"{ident} not reachable from the one-identity form")
@@ -269,7 +254,7 @@ def _check_chain():
 
 
 def _check_w_stability():
-    ksys = system(K_IDENTITY, name="K")
+    ksys = lookup("K").basis
     words = enumerate_W((2, 3))
     _require(len(words) == 128, f"expected 128 family members, got {len(words)}")
     _require(membership_in_W(K_LHS) == "W1" and membership_in_W(K_RHS) == "W2")
@@ -287,12 +272,11 @@ def _check_w_stability():
 def _check_isoterm_powers():
     checked = 0
     for c in (2, 3, 4, 5):
-        spec = variety_C(c)
-        model = cyclic_counter(c)
+        spec = lookup(f"C{c}")
         for n in (1, 2, 3, 4):
             # not an isoterm exactly when some bounded power collapse holds
             collapse = any(
-                find_counterexample(model, Identity("x" * n, "x" * (n + m))) is None
+                find_counterexample(spec.model, Identity("x" * n, "x" * (n + m))) is None
                 for m in range(1, 5))
             _require(is_isoterm_power(spec, n) == (not collapse),
                      f"mismatch at counter({c}), n={n}")

@@ -306,6 +306,18 @@ def test_lattice_part_out_of_range(capsys):
     assert code == 65
 
 
+@pytest.mark.parametrize("flag", ["--max-len", "--max-depth"])
+@pytest.mark.parametrize("command", [("check", "D", "x2y=xyx"),
+                                     ("derive", "x2y", "xyx", "--system", "D")])
+def test_negative_or_non_integer_bounds_are_usage_errors(capsys, command, flag):
+    for value in ("-1", "-2", "1.5", "many"):
+        code, out, err = run(capsys, *command, flag, value)
+        assert (code, out) == (64, ""), value
+        assert f"argument {flag}: " in err
+    code, _, _ = run(capsys, *command, flag, "0")
+    assert code != 64
+
+
 def test_usage_error_on_unknown_command(capsys):
     assert main(["frobnicate"]) == 64
     capsys.readouterr()

@@ -1,6 +1,7 @@
 """Catalog entries, decision rules and isoterm helpers."""
 
 import random
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,7 @@ from monvar.monoids import (
     cyclic_group,
     find_counterexample,
     free_lrb_monoid,
+    named_monoid,
 )
 from monvar.varieties import (
     FAILS,
@@ -21,6 +23,7 @@ from monvar.varieties import (
     K_RHS,
     UNKNOWN,
     Bounds,
+    VarietySpec,
     catalog,
     decide_identity,
     enumerate_W,
@@ -216,6 +219,33 @@ def test_refuters_settle_some_non_derivable_identities():
     v = _decide("Q", "xy=x", bounds=Bounds(max_len=10, max_depth=4))
     assert v.value == FAILS
     assert v.witness is not None
+
+
+# refuters by position in the pool (SL's model, counter:2, counter:3, group:2,
+# group:3); every entry not listed here has none
+_REFUTERS = {"MON": [0, 1, 2, 3, 4], "D": [0, 1], "E": [0, 1], "K": [0, 1], "Q": [0],
+             "B2": [0, 1], "B3": [0, 1, 2], "Z:1:y": [0]}
+
+
+def test_refuters_are_derived_from_the_basis():
+    assert "refutation_models" not in {f.name for f in fields(VarietySpec)}
+    pool = (lookup("SL").model, *(named_monoid(name) for name in
+                                  ("counter:2", "counter:3", "group:2", "group:3")))
+    specs = [*catalog().values(), *(lookup(name) for name in ("C4", "B3", "A5", "Z:1:y"))]
+    for spec in specs:
+        got = [next(i for i, m in enumerate(pool) if m is r) for r in spec.refutation_models]
+        assert got == _REFUTERS.get(spec.name, []), spec.name
+        if spec.rule == "deduction-only":
+            assert got == [i for i, m in enumerate(pool) if model_contains_basis(m, spec.basis)]
+
+
+def test_mon_refutes_a_truncated_search_in_a_pool_monoid():
+    spec, ident = lookup("MON"), parse_identity("x=y30")
+    v = decide_identity(spec, ident)
+    assert v.value == FAILS
+    assert v.witness == {"x": "1", "y": "e"}
+    assert v.reason == "fails in a member monoid of order 2"
+    assert find_counterexample(spec.refutation_models[0], ident) == v.witness
 
 
 def test_unknown_when_bounds_truncate_and_no_refuter():
