@@ -34,6 +34,12 @@ class Bounds:
     max_len: int = 24
     max_depth: int = 48
 
+    def __post_init__(self):
+        for bound in ("max_len", "max_depth"):
+            value = getattr(self, bound)
+            if value < 0:
+                raise ValueError(f"{bound} must be at least 0, got {value}")
+
 
 class DerivationError(ValueError):
     """A derivation step fails to reconstruct; carries the step index."""
@@ -276,8 +282,10 @@ def derivable(u: str, v: str, sys: IdentitySystem,
 
     YES carries a witness derivation.  NO means the rewrite closure of u
     was exhausted without truncation, a sound proof of non-derivability.
-    UNKNOWN means the length or depth bound cut the search short.
+    UNKNOWN means the length or depth bound cut the search short.  A
+    negative bound raises ValueError.
     """
+    Bounds(max_len, max_depth)  # only to reject a negative bound
     if u == v:
         return SearchResult(YES, Derivation((u,), ()), explored=1)
     parents: dict[str, tuple[str, RewriteStep] | None] = {u: None}

@@ -12,8 +12,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 
-import numpy as np
-
+from .lazy import np
 from .words import ParseError, data_lines
 
 

@@ -20,8 +20,7 @@ import os
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
+from .lazy import np
 from .words import Identity, ParseError, data_lines, format_word, initial_part, parse_word
 
 

@@ -142,26 +142,29 @@ def model_contains_basis(m: FiniteMonoid, basis: IdentitySystem) -> bool:
     return all(find_counterexample(m, ident) is None for ident in basis)
 
 
+# name -> the fixed entry's settings, built on the entry's first lookup
+_FIXED = {
+    "T": lambda: dict(basis=system("x=1"), model=named_monoid("group:1"), rule=RULE_MODEL),
+    "SL": lambda: dict(basis=system("x2=x", "xy=yx"), model=_semilattice_2(), rule=RULE_SL),
+    "COM": lambda: dict(basis=system("xy=yx"), rule=RULE_COM),
+    "MON": lambda: dict(basis=IdentitySystem(frozenset(), "MON")),
+    "D": lambda: dict(basis=system("x2=x3", "x2y=xyx", "xyx=yx2", name="D")),
+    "D2": lambda: dict(basis=system("x3=x2", *_D2_RVROP_COMMON, name="D2"),
+                       model=named_monoid("D2"), rule=RULE_MODEL),
+    "E": lambda: dict(basis=system("x2=x3", "x2y=xyx", "x2y2=y2x2", name="E")),
+    "K": lambda: dict(basis=system(K_IDENTITY, name="K")),
+    "LRB": lambda: dict(basis=system("xy=xyx"), model=named_monoid("lrb:3"), rule=RULE_LRB),
+    "Q": lambda: dict(basis=system("yxyzxy=yxzxyxz", name="Q")),
+    "R": lambda: dict(model=named_monoid("R"), rule=RULE_MODEL),
+    "Rop": lambda: dict(model=named_monoid("Rop"), rule=RULE_MODEL),
+    "RvRop": lambda: dict(basis=system("x4=x3", *_D2_RVROP_COMMON, name="RvRop"),
+                          model=named_monoid("RxRop"), rule=RULE_MODEL),
+}
+
+
 @lru_cache(maxsize=None)
-def _fixed_entries() -> dict[str, VarietySpec]:
-    specs = (
-        VarietySpec("T", basis=system("x=1"), model=named_monoid("group:1"), rule=RULE_MODEL),
-        VarietySpec("SL", basis=system("x2=x", "xy=yx"), model=_semilattice_2(), rule=RULE_SL),
-        VarietySpec("COM", basis=system("xy=yx"), rule=RULE_COM),
-        VarietySpec("MON", basis=IdentitySystem(frozenset(), "MON")),
-        VarietySpec("D", basis=system("x2=x3", "x2y=xyx", "xyx=yx2", name="D")),
-        VarietySpec("D2", basis=system("x3=x2", *_D2_RVROP_COMMON, name="D2"),
-                    model=named_monoid("D2"), rule=RULE_MODEL),
-        VarietySpec("E", basis=system("x2=x3", "x2y=xyx", "x2y2=y2x2", name="E")),
-        VarietySpec("K", basis=system(K_IDENTITY, name="K")),
-        VarietySpec("LRB", basis=system("xy=xyx"), model=named_monoid("lrb:3"), rule=RULE_LRB),
-        VarietySpec("Q", basis=system("yxyzxy=yxzxyxz", name="Q")),
-        VarietySpec("R", model=named_monoid("R"), rule=RULE_MODEL),
-        VarietySpec("Rop", model=named_monoid("Rop"), rule=RULE_MODEL),
-        VarietySpec("RvRop", basis=system("x4=x3", *_D2_RVROP_COMMON, name="RvRop"),
-                    model=named_monoid("RxRop"), rule=RULE_MODEL),
-    )
-    return {spec.name: spec for spec in specs}
+def _fixed_entry(name: str) -> VarietySpec:
+    return VarietySpec(name, **_FIXED[name]())
 
 
 def variety_C(n: int) -> VarietySpec:
@@ -204,11 +207,14 @@ _FAMILIES = {"C": variety_C, "B": variety_B, "A": variety_A}
 
 
 def lookup(name: str) -> VarietySpec:
-    """Resolve a catalog or family name (C7, B2, A5, Z:2:xy, underscores ok)."""
+    """Resolve a catalog or family name (C7, B2, A5, Z:2:xy, underscores ok).
+
+    A fixed entry is built on its first lookup, with its generating monoid
+    if it has one, and every later lookup returns that same spec; a family
+    name builds a new spec each time."""
     key = name.replace("_", "").strip()
-    fixed = _fixed_entries()
-    if key in fixed:
-        return fixed[key]
+    if key in _FIXED:
+        return _fixed_entry(key)
     m = _FAMILY.match(key)
     if m:
         return _FAMILIES[m.group(1)](int(m.group(2)))
@@ -222,7 +228,7 @@ def lookup(name: str) -> VarietySpec:
 
 def catalog() -> dict[str, VarietySpec]:
     """All fixed named entries plus the smallest family instances."""
-    out = dict(_fixed_entries())
+    out = {name: _fixed_entry(name) for name in _FIXED}
     for spec in (variety_C(2), variety_C(3), variety_B(2), variety_A(2)):
         out[spec.name] = spec
     return dict(sorted(out.items()))

@@ -359,3 +359,28 @@ def test_verify_paper_reports_a_broken_fact_under_python_O():
     lines = done.stdout.splitlines()
     assert "CHECK fig2-modular-not-distributive fail" in lines
     assert "       expected a modular lattice, witness ('a', 'b', 'c')" in lines
+
+
+# word-level commands never touch a table, so they never execute numpy; a
+# fresh interpreter each, since monoids and catalog entries are cached per
+# process
+@pytest.mark.parametrize("argv, loads_numpy", [
+    (["preceq", "xy", "yx"], False),
+    (["derive", "x3y", "x4y", "--system", "D", "--max-len", "7", "--max-depth", "4"], False),
+    (["check", "D", "x3y=x4y"], False),
+    (["monoid", "info", "D2"], True),
+])
+def test_only_table_commands_execute_numpy(argv, loads_numpy):
+    script = "\n".join([
+        "import sys",
+        "from monvar.cli import main",
+        "code = main(sys.argv[1:])",
+        "print('numpy._core' in sys.modules)",
+        "sys.exit(code)",
+    ])
+    path = [SRC] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    done = subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == str(loads_numpy)

@@ -10,6 +10,7 @@ from monvar.deduction import (
     NO,
     UNKNOWN,
     YES,
+    Bounds,
     Derivation,
     DerivationError,
     RewriteStep,
@@ -24,7 +25,7 @@ from monvar.deduction import (
     parse_identity_system,
     system,
 )
-from monvar.varieties import catalog
+from monvar.varieties import catalog, lookup
 from monvar.words import ParseError, parse_identity, parse_word
 
 SIGMA = system("x3yz=yxzx")
@@ -248,6 +249,22 @@ def test_derivable_truncation_is_unknown():
     assert res.status == UNKNOWN
     res = derivable("x", "y", SIGMA, max_len=6, max_depth=0)
     assert res.status == UNKNOWN
+
+
+@pytest.mark.parametrize("max_len, max_depth, named", [
+    (-1, 10, "max_len must be at least 0, got -1"),
+    (24, -2, "max_depth must be at least 0, got -2"),
+])
+def test_negative_bounds_are_refused(max_len, max_depth, named):
+    with pytest.raises(ValueError, match=named):
+        Bounds(max_len, max_depth)
+    with pytest.raises(ValueError, match=named):
+        derivable("xxy", "xyx", lookup("D").basis, max_len=max_len, max_depth=max_depth)
+
+
+def test_zero_bounds_are_accepted():
+    assert Bounds(0, 0).max_depth == 0
+    assert derivable("xxy", "xyx", lookup("D").basis, max_len=0, max_depth=0).status == UNKNOWN
 
 
 def test_derivable_is_a_congruence_sample():

@@ -35,6 +35,13 @@ def test_no_module_imports_a_private_name_from_another():
     assert {name: hits for name, hits in offenders.items() if hits} == {}
 
 
+def test_numpy_is_bound_in_one_module():
+    # every other module takes the lazily loaded numpy from that one
+    binders = [p.name for p in sorted(PACKAGE.rglob("*.py"))
+               if "import numpy" in p.read_text(encoding="utf-8")]
+    assert len(binders) == 1, binders
+
+
 # the catalog's monoid constructors and basis constants: verify reads the
 # bases and models it checks through lookup instead
 _CATALOG_INTERNALS = {"named_monoid", "cyclic_counter", "cyclic_group", "free_lrb_monoid",

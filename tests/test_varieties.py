@@ -1,12 +1,17 @@
 """Catalog entries, decision rules and isoterm helpers."""
 
+import os
 import random
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import monvar
 from monvar.deduction import Derivation
 from monvar.monoids import (
     cyclic_counter,
@@ -61,6 +66,33 @@ def test_lookup_families_and_normalization():
         lookup("Z:2")
     with pytest.raises(ValueError):
         lookup("C1")
+
+
+FIXED = ("T", "SL", "COM", "MON", "D", "D2", "E", "K", "LRB", "Q", "R", "Rop", "RvRop")
+
+
+def test_fixed_entries_are_built_once():
+    cat = catalog()
+    assert set(cat) == {*FIXED, "C2", "C3", "B2", "A2"}
+    for name in FIXED:
+        assert lookup(name) is lookup(name) is cat[name], name
+
+
+def test_looking_up_a_deduction_entry_builds_no_monoid():
+    # named_monoid is a process-wide cache, so ask a fresh interpreter
+    script = "\n".join([
+        "from monvar.monoids import named_monoid",
+        "from monvar.varieties import lookup",
+        "lookup('D')",
+        "print(named_monoid.cache_info().currsize)",
+    ])
+    src = str(Path(monvar.__file__).resolve().parents[1])
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["0"]
 
 
 def test_k_identity_words():
