@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 
-from .lazy import np
+from .lazy import gather, index_dtype, np
 from .words import ParseError, data_lines
 
 
@@ -39,9 +39,9 @@ class FiniteLattice:
     """A finite lattice over named elements.
 
     `leq` is the full reflexive-transitive order matrix; meet and join
-    tables are derived on construction, raising NotALattice with the
-    offending pair if either is missing somewhere (every meet is checked
-    before any join).
+    tables are derived on construction, in `index_dtype(len(names))`,
+    raising NotALattice with the offending pair if either is missing
+    somewhere (every meet is checked before any join).
     """
 
     def __init__(self, names, leq):
@@ -130,7 +130,7 @@ def _meet_table(names, leq, what):
     below; called with the transposed order it gives the joins."""
     n = len(names)
     below = leq.astype(np.int32)  # below[k, g]: k below g
-    table = np.empty((n, n), dtype=np.int32)
+    table = np.empty((n, n), dtype=index_dtype(n))
     for i in range(n):
         for j in range(i, n):
             low = leq[:, i] & leq[:, j]
@@ -179,7 +179,7 @@ def is_costandard_element(lat: FiniteLattice, element) -> Check:
     mx = lat.meet[x]
     jx = lat.join[:, x]
     lhs = lat.join[:, mx]  # [a, b] -> a v (x ^ b)
-    rhs = lat.meet[jx[:, None], lat.join]  # [a, b] -> (a v x) ^ (a v b)
+    rhs = gather(lat.meet, jx[:, None], lat.join)  # [a, b] -> (a v x) ^ (a v b)
     return _verdict(lat, lhs != rhs)
 
 
@@ -215,7 +215,7 @@ def is_distributive_lattice(lat: FiniteLattice) -> Check:
     for x in range(len(lat)):
         mx = lat.meet[x]
         lhs = mx[lat.join]  # [y, z] -> x ^ (y v z)
-        rhs = lat.join[mx[:, None], mx[None, :]]  # [y, z] -> (x^y) v (x^z)
+        rhs = gather(lat.join, mx[:, None], mx[None, :])  # [y, z] -> (x^y) v (x^z)
         if not (res := _verdict(lat, lhs != rhs, x)):
             return res
     return Check(True)

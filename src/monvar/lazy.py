@@ -1,9 +1,12 @@
-"""numpy, bound now and executed on first use.
+"""numpy, bound now and executed on first use, and the rules of index tables.
 
 Word-level work (embedding, derivation search, deduction-only verdicts)
 never touches a table, so `monoids` and `lattices` share one lazily
 loaded numpy: the module object exists from import time, and numpy's own
-code runs when an attribute of it is first read.
+code runs when an attribute of it is first read.  The index tables of
+both modules follow the two rules below, `index_dtype` for how they are
+stored and `gather` for how they are read; each reads numpy only when it
+is called, so neither loads it at import.
 """
 
 from __future__ import annotations
@@ -36,3 +39,22 @@ if TYPE_CHECKING:
     import numpy as np
 else:
     np = _load_on_first_use("numpy")
+
+
+def index_dtype(order: int):
+    """The dtype of a table whose entries are indices below `order`:
+    uint8 up to 256 elements, uint16 up to 65 536, int32 above."""
+    if order <= 1 << 8:
+        return np.uint8
+    if order <= 1 << 16:
+        return np.uint16
+    return np.int32
+
+
+def gather(table, rows, cols):
+    """table[rows, cols] for a 2-d table, with rows and cols broadcast.
+
+    Each cell is taken by its row-major position, computed in intp: a 2-d
+    gather would first cast each compact index array to intp, and runs
+    about twice as slow."""
+    return table.ravel()[np.multiply(rows, table.shape[1], dtype=np.intp) + cols]

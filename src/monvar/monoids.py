@@ -1,15 +1,18 @@
 """Finite monoids: presentations, Cayley tables, products, model checking.
 
-Elements are indices 0..n-1 with display names; tables are numpy int
-matrices.  Presentations with zero use factor-exclusion normal forms
-(a word is zero iff it contains a relator factor); general relations
-are oriented length-lexicographically and applied to a fixpoint.  The
-table is composed from the right Cayley graph of the normal forms
-(Froidure & Pin 1997), and a table that breaks a defining relation or
-associativity is refused.  Associativity is checked with Light's test
-over a generating set, O(n^2) per generator.  Identities are checked
-over the assignment cube in lexicographic chunks of at most 2^20 cells,
-stopping at the first violation, so memory does not grow with n^k.
+Elements are indices 0..n-1 with display names; tables are numpy
+matrices in the smallest dtype that holds every index (`index_dtype`:
+uint8 up to 256 elements, uint16 up to 65 536, int32 above), each built
+in that dtype rather than cast at the end.  Presentations with zero use
+factor-exclusion normal forms (a word is zero iff it contains a relator
+factor); general relations are oriented length-lexicographically and
+applied to a fixpoint.  The table is composed from the right Cayley graph
+of the normal forms (Froidure & Pin 1997), and a table that breaks a
+defining relation or associativity is refused.  Associativity is
+checked with Light's test over a generating set, O(n^2) per generator.
+Identities are checked over the assignment cube in lexicographic chunks
+of at most 2^20 cells, stopping at the first violation, so memory does
+not grow with n^k.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import os
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .lazy import np
+from .lazy import gather, index_dtype, np
 from .words import Identity, ParseError, data_lines, format_word, initial_part, parse_word
 
 
@@ -80,18 +83,23 @@ class IndexPeriod:
 
 
 class FiniteMonoid:
-    """Validated multiplication table with named elements."""
+    """Validated multiplication table with named elements.
+
+    `table` is stored in `index_dtype(len(names))`; the entries of the
+    given table are range-checked before the cast, so none can wrap."""
 
     def __init__(self, names, table, one: int, zero: int | None = None):
         self.names = tuple(names)
-        self.table = np.asarray(table, dtype=np.int32)
         self.one = one
         self.zero = zero
         self.factors: tuple[FiniteMonoid, ...] = ()  # set by direct_product
         self._index = {nm: i for i, nm in enumerate(self.names)}
         if len(self._index) != len(self.names):
             raise InvalidTable("element names are not distinct")
-        self.validate()
+        table = np.asarray(table)
+        self._check_entries(table)
+        self.table = np.ascontiguousarray(table, dtype=index_dtype(len(self.names)))
+        self._check_laws()
 
     def __len__(self):
         return len(self.names)
@@ -109,12 +117,19 @@ class FiniteMonoid:
         return int(self.table[i, j])
 
     def validate(self):
+        self._check_entries(self.table)
+        self._check_laws()
+
+    def _check_entries(self, t):
         n = len(self.names)
-        t = self.table
         if t.shape != (n, n):
             raise InvalidTable(f"table shape {t.shape} does not match {n} elements")
         if n and (t.min() < 0 or t.max() >= n):
             raise InvalidTable("table entry out of range")
+
+    def _check_laws(self):
+        n = len(self.names)
+        t = self.table
         for role, k in (("identity", self.one), ("zero", self.zero)):
             if k is not None and not 0 <= k < n:
                 raise InvalidTable(f"{role} index {k} is out of range for {n} elements")
@@ -293,10 +308,11 @@ def _cayley_table(right: np.ndarray, reached_by) -> np.ndarray:
     right[i, k] is element i times generator k; reached_by[j - 1] = (i, k)
     says that element j is element i < j times generator k.  Element 0 is
     the identity.  A last element that reached_by does not list is the zero,
-    and right must send it to itself."""
+    and right must send it to itself.  The table is built in index_dtype(n)."""
     n = len(right)
-    action = np.ascontiguousarray(right.T)
-    cols = np.full((n, n), n - 1, dtype=np.int32)
+    dtype = index_dtype(n)
+    action = np.ascontiguousarray(right.T, dtype=dtype)
+    cols = np.full((n, n), n - 1, dtype=dtype)
     cols[0] = np.arange(n)
     for j, (i, k) in enumerate(reached_by, 1):
         cols[j] = action[k][cols[i]]  # x * elem_j = (x * elem_i) * gen_k
@@ -418,8 +434,7 @@ def find_counterexample(m: FiniteMonoid, ident: Identity,
     n, k = len(m), len(letters)
     lead = next(j for j in range(k + 1) if n ** (k - j) <= _CHUNK_CELLS)
     shape = (n,) * (k - lead)
-    axes = {c: np.arange(n, dtype=m.table.dtype).reshape(
-                [n if j == i else 1 for j in range(k - lead)])
+    axes = {c: np.arange(n).reshape([n if j == i else 1 for j in range(k - lead)])
             for i, c in enumerate(letters[lead:])}
     fixed = {}
 
@@ -427,7 +442,7 @@ def find_counterexample(m: FiniteMonoid, ident: Identity,
         for c in word:
             a = fixed.get(c)
             # a fixed letter is a scalar: gather from its column
-            acc = m.table[acc, axes[c]] if a is None else np.take(m.table[:, a], acc)
+            acc = gather(m.table, acc, axes[c]) if a is None else np.take(m.table[:, a], acc)
         return acc
 
     lhs, rhs = ident.lhs, ident.rhs

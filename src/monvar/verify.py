@@ -137,26 +137,29 @@ def commutation_chain() -> Derivation:
 
 
 def _require(ok, message=""):
-    """Raise AssertionError(message) unless ok; unlike assert, kept under python -O."""
+    """Raise AssertionError(message) unless ok; unlike assert, kept under python -O.
+
+    A message that formats values is passed as a function returning it, so
+    the text is built only on failure."""
     if not ok:
-        raise AssertionError(message)
+        raise AssertionError(message() if callable(message) else message)
 
 
 def _check_fig1():
     lat = fixtures()["fig1"]
     for el in ("x", "y"):
         res = is_cancellable_element(lat, el)
-        _require(res.ok, f"{el} should be cancellable, witness {res.witness}")
+        _require(res.ok, lambda: f"{el} should be cancellable, witness {res.witness}")
     res = is_cancellable_element(lat, "xvy")
     _require(not res.ok, "the join xvy should not be cancellable")
-    _require(res.witness == ("a", "c"), f"unexpected witness {res.witness}")
+    _require(res.witness == ("a", "c"), lambda: f"unexpected witness {res.witness}")
     return "x, y cancellable; xvy refuted by the pair (a, c)"
 
 
 def _check_fig2():
     lat = fixtures()["fig2"]
     mod = is_modular_lattice(lat)
-    _require(mod.ok, f"expected a modular lattice, witness {mod.witness}")
+    _require(mod.ok, lambda: f"expected a modular lattice, witness {mod.witness}")
     dist = is_distributive_lattice(lat)
     _require(not dist.ok, "the lattice should not be distributive")
     x, y, z = dist.witness
@@ -170,16 +173,16 @@ def _check_fig2():
 
 def _check_partitions():
     counts = [len(all_partitions(k)) for k in (3, 4, 5)]
-    _require(counts == [5, 15, 52], f"partition counts off: {counts}")
+    _require(counts == [5, 15, 52], lambda: f"partition counts off: {counts}")
     for k in (2, 3, 4, 5):
         lat = partition_lattice(k)
-        _require(len(lat) == len(all_partitions(k)), f"lattice size off for k={k}")
+        _require(len(lat) == len(all_partitions(k)), lambda: f"lattice size off for k={k}")
         for p in all_partitions(k):
             brute = bool(is_modular_element(lat, p.label))
             _require(brute == jezek_modular(p),
-                     f"rule and brute force disagree on {p.label} for k={k}")
+                     lambda: f"rule and brute force disagree on {p.label} for k={k}")
     modular4 = sum(jezek_modular(p) for p in all_partitions(4))
-    _require(modular4 == 12, f"expected 12 modular elements for k=4, got {modular4}")
+    _require(modular4 == 12, lambda: f"expected 12 modular elements for k=4, got {modular4}")
     return "brute force matches the one-fused-block rule up to k=5; 12 of 15 at k=4"
 
 
@@ -192,7 +195,7 @@ def _rule_verdicts(spec, rng, letters, where=""):
         ident = Identity(u, v)
         holds = decide_identity(spec, ident).value == HOLDS
         _require(holds == (find_counterexample(spec.model, ident) is None),
-                 f"disagreement on {ident}{where}")
+                 lambda: f"disagreement on {ident}{where}")
         yield ident, holds
 
 
@@ -203,7 +206,7 @@ def _check_lrb_rule():
     agree = 0
     for ident, holds in _rule_verdicts(spec, random.Random(20260814), "xyz"):
         _require(holds == (initial_part(ident.lhs) == initial_part(ident.rhs)),
-                 f"closed form off on {ident}")
+                 lambda: f"closed form off on {ident}")
         agree += 1
     return f"initial-part rule matches the 16-element model on {agree} random identities"
 
@@ -236,7 +239,7 @@ def _check_d_single_basis():
     basis = lookup("D").basis
     for ident in basis.ordered():
         res = derivable(ident.lhs, ident.rhs, single, max_len=8, max_depth=4)
-        _require(res.status == YES, f"{ident} not reachable from the one-identity form")
+        _require(res.status == YES, lambda: f"{ident} not reachable from the one-identity form")
         check_derivation(res.derivation, single, strict=True)
     back = derivable(parse_word("x3yz"), parse_word("yxzx"), basis,
                      max_len=8, max_depth=6)
@@ -248,7 +251,7 @@ def _check_d_single_basis():
 def _check_chain():
     chain = commutation_chain()
     _require((chain.words[0], chain.words[-1]) == ("yyxttzzyyttxzz", "yyxttzzxyyttxzz"))
-    _require(len(chain) == 16, f"chain has {len(chain)} steps")
+    _require(len(chain) == 16, lambda: f"chain has {len(chain)} steps")
     check_derivation(chain, system("x2=x3", "x2y=yx2"), strict=True)
     return "16 steps, each validated against {x2=x3, x2y=yx2}"
 
@@ -256,13 +259,14 @@ def _check_chain():
 def _check_w_stability():
     ksys = lookup("K").basis
     words = enumerate_W((2, 3))
-    _require(len(words) == 128, f"expected 128 family members, got {len(words)}")
+    _require(len(words) == 128, lambda: f"expected 128 family members, got {len(words)}")
     _require(membership_in_W(K_LHS) == "W1" and membership_in_W(K_RHS) == "W2")
     images = moved = 0
     for w in words:
         for target in one_step_rewrites(w, ksys, 21):
             _require(membership_in_W(target) != OUTSIDE,
-                     f"{format_word(w)} rewrites outside the family to {format_word(target)}")
+                     lambda: f"{format_word(w)} rewrites outside the family"
+                             f" to {format_word(target)}")
             images += 1
             moved += target != w
     _require(moved > 0, "K rewrites no family member to a different word")
@@ -279,7 +283,7 @@ def _check_isoterm_powers():
                 find_counterexample(spec.model, Identity("x" * n, "x" * (n + m))) is None
                 for m in range(1, 5))
             _require(is_isoterm_power(spec, n) == (not collapse),
-                     f"mismatch at counter({c}), n={n}")
+                     lambda: f"mismatch at counter({c}), n={n}")
             checked += 1
     return f"index threshold agrees with bounded power collapse in {checked} cases"
 

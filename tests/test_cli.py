@@ -361,6 +361,19 @@ def test_verify_paper_reports_a_broken_fact_under_python_O():
     assert "       expected a modular lattice, witness ('a', 'b', 'c')" in lines
 
 
+def test_verify_paper_builds_a_failure_message_inside_a_loop(monkeypatch, capsys):
+    # the text is built only when the check fails, and then in full
+    from monvar import verify
+    from monvar.words import format_word
+    monkeypatch.setattr(verify, "one_step_rewrites", lambda word, ksys, max_len: ["xx"])
+    monkeypatch.setattr(verify, "CHECKS", [c for c in verify.CHECKS
+                                           if c[0] == "w-family-one-step-stability"])
+    code, out, _ = run(capsys, "verify-paper")
+    assert code == 1
+    first = format_word(verify.enumerate_W((2, 3))[0])
+    assert f"       {first} rewrites outside the family to x2" in out.splitlines()
+
+
 # word-level commands never touch a table, so they never execute numpy; a
 # fresh interpreter each, since monoids and catalog entries are cached per
 # process

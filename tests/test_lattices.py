@@ -74,6 +74,7 @@ def test_meet_join_cohere_with_order():
     # x <= y iff meet is x iff join is y, on every bundled lattice
     for lat in (*fixtures().values(), partition_lattice(4), _chain(5)):
         n = len(lat)
+        assert lat.meet.dtype == lat.join.dtype == np.uint8  # at most 256 elements
         for i, j in itertools.product(range(n), repeat=2):
             le = bool(lat.leq[i, j])
             assert le == (lat.meet[i, j] == i)

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from monvar import monoids
+from monvar.lazy import gather, index_dtype
 from monvar.monoids import (
     FiniteMonoid,
     InvalidTable,
@@ -227,7 +228,9 @@ def test_from_presentation_matches_pairwise_oracle():
             continue
         assert oracle_ok, pres
         assert m.names == tuple(names) and m.one == 0 and m.zero == zero
-        assert m.table.dtype == table.dtype and m.table.tobytes() == table.tobytes()
+        # at most cap + 1 = 61 elements: the table is uint8
+        assert m.table.dtype == np.uint8
+        assert m.table.tobytes() == table.astype(np.uint8).tobytes()
         assert _satisfies_relations(m.table, m.zero, gen_elems, pres)
         # the cap counts the normal forms, the zero aside
         forms = len(m) - (zero is not None)
@@ -313,6 +316,17 @@ def test_validate_range_checks_identity_and_zero():
         FiniteMonoid(["e", "1"], [[0, 0], [0, 1]], one=-1)
 
 
+@pytest.mark.parametrize("entry", [257, -255])
+def test_entries_that_would_wrap_are_refused(entry):
+    # identity 0, idempotent 1, zero 2: 257 and -255 both wrap to 1 in uint8,
+    # which would make the table valid
+    rows = [[0, 1, 2], [1, entry, 2], [2, 2, 2]]
+    with pytest.raises(InvalidTable, match="table entry out of range"):
+        FiniteMonoid(["0", "1", "2"], rows, one=0)
+    with pytest.raises(InvalidTable, match=f"table entry {entry} is not an element name"):
+        from_table([0, 1, 2], rows, 0)
+
+
 def test_direct_product_counts_and_law():
     r = from_presentation(R_PRES)
     rxr = direct_product(r, opposite(r))
@@ -374,14 +388,53 @@ def test_builtin_tables_match_pairwise_construction():
         pos = {w: i for i, w in enumerate(elems)}
         table = np.array([[pos[initial_part(u + v)] for v in elems] for u in elems],
                          dtype=np.int32)
-        m = free_lrb_monoid(k)
-        assert m.table.dtype == table.dtype and m.table.tobytes() == table.tobytes()
-    for n in range(1, 30):
+        m = free_lrb_monoid(k)  # at most 65 elements
+        assert m.table.dtype == np.uint8
+        assert m.table.tobytes() == table.astype(np.uint8).tobytes()
+    # order n + 1: 256 elements still fit uint8, 257 need uint16
+    for n in (*range(1, 30), 255, 256):
         table = np.array([[n if i == n or j == n or i + j >= n else i + j
                            for j in range(n + 1)] for i in range(n + 1)], dtype=np.int32)
+        dtype = np.uint8 if n < 256 else np.uint16
         m = cyclic_counter(n)
-        assert m.table.dtype == table.dtype and m.table.tobytes() == table.tobytes()
+        assert m.table.dtype == dtype
+        assert m.table.tobytes() == table.astype(dtype).tobytes()
         assert m.zero == n
+
+
+def test_index_dtype_is_the_smallest_that_holds_every_index():
+    for order, dtype in ((1, np.uint8), (256, np.uint8), (257, np.uint16),
+                         (65536, np.uint16), (65537, np.int32)):
+        assert index_dtype(order) is dtype
+        assert np.iinfo(dtype).max >= order - 1
+
+
+@pytest.mark.parametrize("n", [3, 300])
+def test_gather_is_two_dimensional_indexing(n):
+    rng = np.random.default_rng(n)
+    table = rng.integers(0, n, (n, n)).astype(index_dtype(n))
+    rows = rng.integers(0, n, (7, 1)).astype(table.dtype)
+    cols = rng.integers(0, n, (1, 5))
+    assert np.array_equal(gather(table, rows, cols), table[rows, cols])
+    assert np.array_equal(gather(table, n - 1, cols), table[n - 1, cols])
+
+
+@pytest.mark.parametrize("n", [255, 256])
+def test_scan_agrees_with_the_oracle_on_both_sides_of_the_uint8_boundary(n):
+    m = cyclic_counter(n)
+    for text in ("x=x2", "xy=yx", "x3=x4", f"x{n}=x{n + 1}", f"x{n - 1}y=x{n}y", "xyx=x2y"):
+        ident = parse_identity(text)
+        assert find_counterexample(m, ident) == _first_violation(m, ident), text
+
+
+def test_direct_product_keeps_pair_indices_past_uint8():
+    c15, c16 = cyclic_counter(15), cyclic_counter(16)
+    p = direct_product(c15, c16)
+    assert len(p) == 272 and p.table.dtype == np.uint16
+    a, b = np.indices((272, 272))
+    expect = c15.table[a // 17, b // 17].astype(np.int64) * 17 + c16.table[a % 17, b % 17]
+    assert np.array_equal(p.table, expect)
+    assert p.names[p.one] == "(1,1)" and p.names[p.zero] == "(0,0)"
 
 
 def test_free_lrb_monoid_stops_below_the_element_cap():
