@@ -12,28 +12,8 @@ import argparse
 import os
 import sys
 
+from . import lattices, monoids, varieties, verify
 from .deduction import NO, YES, Bounds, Derivation, derivable, load_identity_system
-from .lattices import (
-    classify_element,
-    is_cancellable_element,
-    is_costandard_element,
-    is_distributive_lattice,
-    is_modular_element,
-    is_modular_lattice,
-    load_lattice,
-    named_lattice,
-)
-from .monoids import (
-    LikelyInfinite,
-    SearchCapExceeded,
-    find_counterexample,
-    is_commutative,
-    load_monoid,
-    monoid_index_period,
-    named_monoid,
-)
-from .varieties import FAILS, HOLDS, decide_identity, lookup
-from .verify import run_verification
 from .words import embeds, format_word, parse_identity, parse_word
 
 
@@ -65,7 +45,7 @@ def _resolve(source: str, named, load, kind: str):
 
 
 def _basis(name: str):
-    spec = lookup(name)
+    spec = varieties.lookup(name)
     if spec.basis is None:
         raise ValueError(f"variety {spec.name} is model-defined and has no"
                          " identity basis to derive from")
@@ -77,14 +57,14 @@ def _basis(name: str):
 
 
 def _cmd_check(args) -> int:
-    spec = lookup(args.variety)
+    spec = varieties.lookup(args.variety)
     if spec.name == "MON":
         raise _UsageError(
             "MON denotes the variety of all monoids: an identity holds there"
             " exactly when both sides are the same word, so compare the words"
             " directly instead of querying the catalog")
     ident = parse_identity(args.identity)
-    verdict = decide_identity(spec, ident, Bounds(args.max_len, args.max_depth))
+    verdict = varieties.decide_identity(spec, ident, Bounds(args.max_len, args.max_depth))
     print(f"{spec.name} |- {ident}: {verdict.value}")
     if verdict.reason:
         print(f"  {verdict.reason}")
@@ -94,20 +74,20 @@ def _cmd_check(args) -> int:
     elif isinstance(verdict.witness, Derivation):
         print("  derivation: " + " -> ".join(format_word(w)
                                              for w in verdict.witness.words))
-    return {HOLDS: 0, FAILS: 1}.get(verdict.value, 2)
+    return {varieties.HOLDS: 0, varieties.FAILS: 1}.get(verdict.value, 2)
 
 
 def _cmd_monoid_build(args) -> int:
-    m = _resolve(args.source, named_monoid, load_monoid, "monoid")
+    m = _resolve(args.source, monoids.named_monoid, monoids.load_monoid, "monoid")
     print(f"monoid {args.source}: {len(m)} elements")
     print("elements: " + " ".join(m.names))
     return 0
 
 
 def _cmd_monoid_satisfies(args) -> int:
-    m = _resolve(args.source, named_monoid, load_monoid, "monoid")
+    m = _resolve(args.source, monoids.named_monoid, monoids.load_monoid, "monoid")
     ident = parse_identity(args.identity)
-    cx = find_counterexample(m, ident, allow_large=args.allow_large)
+    cx = monoids.find_counterexample(m, ident, allow_large=args.allow_large)
     if cx is None:
         print(f"{args.source} satisfies {ident}")
         return 0
@@ -118,29 +98,29 @@ def _cmd_monoid_satisfies(args) -> int:
 
 
 def _cmd_monoid_info(args) -> int:
-    m = _resolve(args.source, named_monoid, load_monoid, "monoid")
-    ip = monoid_index_period(m)
+    m = _resolve(args.source, monoids.named_monoid, monoids.load_monoid, "monoid")
+    ip = monoids.monoid_index_period(m)
     print(f"monoid {args.source}: {len(m)} elements")
     print(f"identity element: {m.names[m.one]}")
     print("zero element: " + (m.names[m.zero] if m.zero is not None else "none"))
     print(f"index {ip.index}, period {ip.period}")
-    print(f"commutative: {_yesno(is_commutative(m))}")
+    print(f"commutative: {_yesno(monoids.is_commutative(m))}")
     print(f"completely regular: {_yesno(ip.index == 1)}")
     return 0
 
 
 def _cmd_lattice(args) -> int:
-    lat = _resolve(args.source, named_lattice, load_lattice, "lattice")
+    lat = _resolve(args.source, lattices.named_lattice, lattices.load_lattice, "lattice")
     wanted = [(label, fn) for label, fn, on in (
-        ("modular", is_modular_element, args.modular),
-        ("cancellable", is_cancellable_element, args.cancellable),
-        ("costandard", is_costandard_element, args.costandard)) if on]
+        ("modular", lattices.is_modular_element, args.modular),
+        ("cancellable", lattices.is_cancellable_element, args.cancellable),
+        ("costandard", lattices.is_costandard_element, args.costandard)) if on]
     if args.element is None and wanted:
         raise _UsageError("element property flags require --element")
     if args.element is not None:
         el = args.element.replace("∨", "v")  # accept the join sign
         if not wanted:
-            rep = classify_element(lat, el)
+            rep = lattices.classify_element(lat, el)
             print(f"element {rep.element} of {args.source}:")
             for label, chk in (("modular", rep.modular),
                                ("cancellable", rep.cancellable),
@@ -155,17 +135,17 @@ def _cmd_lattice(args) -> int:
                 code = 1
         return code
     if args.count_modular:
-        count = sum(bool(is_modular_element(lat, i)) for i in range(len(lat)))
+        count = sum(bool(lattices.is_modular_element(lat, i)) for i in range(len(lat)))
         print(f"{count} of {len(lat)} elements are modular")
         return 0
     print(f"lattice {args.source}: {len(lat)} elements,"
           f" bottom {lat.bottom}, top {lat.top}")
     if getattr(args, "global"):
-        print(f"modular: {_render_check(is_modular_lattice(lat))}")
-        print(f"distributive: {_render_check(is_distributive_lattice(lat))}")
+        print(f"modular: {_render_check(lattices.is_modular_lattice(lat))}")
+        print(f"distributive: {_render_check(lattices.is_distributive_lattice(lat))}")
         return 0
     for name in lat.names:
-        rep = classify_element(lat, name)
+        rep = lattices.classify_element(lat, name)
         print(f"  {name}: modular={_yesno(rep.modular.ok)}"
               f" cancellable={_yesno(rep.cancellable.ok)}"
               f" costandard={_yesno(rep.costandard.ok)}")
@@ -205,7 +185,7 @@ def _cmd_preceq(args) -> int:
 
 
 def _cmd_verify_paper(args) -> int:
-    report = run_verification()
+    report = verify.run_verification()
     print(report.render_text())
     for line in report.machine_lines():
         print(line)
@@ -296,13 +276,15 @@ def _build_parser() -> _Parser:
 
 def main(argv=None) -> int:
     parser = _build_parser()
+    # an except clause is evaluated only when an exception reaches it, so a
+    # command that succeeds does not run monoids to name its exceptions
     try:
         args = parser.parse_args(argv)
         return args.func(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 64
-    except (LikelyInfinite, SearchCapExceeded, MemoryError) as exc:
+    except (monoids.LikelyInfinite, monoids.SearchCapExceeded, MemoryError) as exc:
         print(f"resource limit: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3
     except (ValueError, KeyError, OSError) as exc:

@@ -1,9 +1,11 @@
-"""numpy, bound now and executed on first use, and the rules of index tables.
+"""Modules bound at once and executed on first use, and the rules of index tables.
 
-Word-level work (embedding, derivation search, deduction-only verdicts)
-never touches a table, so `monoids` and `lattices` share one lazily
-loaded numpy: the module object exists from import time, and numpy's own
-code runs when an attribute of it is first read.  The index tables of
+`load_on_first_use` puts a module object into `sys.modules` at once and
+runs the module's code when an attribute of it is first read.  The
+package registers its six submodules this way, and `monoids` and
+`lattices` share one numpy bound this way: word-level work (embedding,
+derivation search, deduction-only verdicts) never touches a table, so it
+runs neither numpy nor any submodule it does not read.  The index tables of
 both modules follow the two rules below, `index_dtype` for how they are
 stored and `gather` for how they are read; each reads numpy only when it
 is called, so neither loads it at import.
@@ -17,7 +19,7 @@ from types import ModuleType
 from typing import TYPE_CHECKING
 
 
-def _load_on_first_use(name: str) -> ModuleType:
+def load_on_first_use(name: str) -> ModuleType:
     """The module `name`, executed on first attribute access.
 
     A module already imported is returned as it is; a missing one raises
@@ -38,7 +40,7 @@ def _load_on_first_use(name: str) -> ModuleType:
 if TYPE_CHECKING:
     import numpy as np
 else:
-    np = _load_on_first_use("numpy")
+    np = load_on_first_use("numpy")
 
 
 def index_dtype(order: int):

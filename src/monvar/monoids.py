@@ -326,7 +326,11 @@ def direct_product(m: FiniteMonoid, n: FiniteMonoid) -> FiniteMonoid:
     identity on the factors and scans the product only for a witness."""
     names = [f"({a},{b})" for a in m.names for b in n.names]
     nn = len(n)
-    table = (m.table[:, None, :, None].astype(np.int64) * nn
+    # (a,b)(c,d) has index ac*|N| + bd < |M||N|, so the table is built in
+    # the dtype it is stored in; the offsets ac*|N| are read from the |M|
+    # multiples of |N|, as |N| itself need not fit that dtype (1 x 256)
+    offsets = np.arange(0, len(names), nn, dtype=index_dtype(len(names)))
+    table = (offsets[m.table][:, None, :, None]
              + n.table[None, :, None, :]).reshape(len(names), len(names))
     one = m.one * nn + n.one
     zero = None

@@ -397,3 +397,38 @@ def test_only_table_commands_execute_numpy(argv, loads_numpy):
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == str(loads_numpy)
+
+
+# bench/spans.py Tracer.install reads sys.modules["monvar.<module>"] for each
+# traced module, so importing the package registers all six; their code runs
+# only when a command reads them.  A module not yet executed still has the
+# lazy loader's own type, and reading its type does not load it.
+_CONTRACT = """
+import sys, types
+SUBMODULES = ("words", "deduction", "monoids", "varieties", "lattices", "verify")
+def ran(name):
+    return type(sys.modules[name]) is types.ModuleType
+import monvar
+assert all("monvar." + m in sys.modules for m in SUBMODULES)
+assert not any(ran("monvar." + m) for m in SUBMODULES)
+from monvar.cli import main
+code = main(sys.argv[1:])
+print(code, *[m for m in SUBMODULES if ran("monvar." + m)], ran("numpy"))
+"""
+
+
+@pytest.mark.parametrize("argv, code, may_run", [
+    (["preceq", "xy", "yx"], 0, set()),
+    # a failure may run monoids to name its exception, but no numpy
+    (["preceq", "x0", "y"], 65, {"monoids"}),
+])
+def test_import_registers_every_submodule_and_preceq_runs_only_the_word_ones(
+        argv, code, may_run):
+    path = [SRC] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    done = subprocess.run([sys.executable, "-c", _CONTRACT, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    printed = done.stdout.splitlines()[-1].split()
+    assert printed[0] == str(code) and printed[-1] == "False"
+    assert {"words", "deduction"} <= set(printed[1:-1]) <= {"words", "deduction", *may_run}

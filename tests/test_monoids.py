@@ -437,6 +437,34 @@ def test_direct_product_keeps_pair_indices_past_uint8():
     assert p.names[p.one] == "(1,1)" and p.names[p.zero] == "(0,0)"
 
 
+@pytest.mark.parametrize("left, right, dtype", [
+    ("counter:15", "counter:15", np.uint8),   # 256 elements
+    ("group:1", "counter:255", np.uint8),     # |N| = 256 itself does not fit uint8
+    ("counter:15", "counter:16", np.uint16),  # 272 elements
+])
+def test_direct_product_table_is_the_int64_construction(left, right, dtype):
+    m, n = named_monoid(left), named_monoid(right)
+    wide = (m.table[:, None, :, None].astype(np.int64) * len(n)
+            + n.table[None, :, None, :]).reshape(len(m) * len(n), -1)
+    p = direct_product(m, n)
+    assert p.table.dtype == dtype
+    assert p.table.tobytes() == wide.astype(dtype).tobytes()
+
+
+def test_direct_product_builds_no_wider_table_than_it_stores():
+    # 2015 elements: an 8 MB uint16 table, which an int64 intermediate
+    # would make 31 MB
+    m, n = free_lrb_monoid(4), cyclic_counter(30)
+    tracemalloc.start()
+    try:
+        p = direct_product(m, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert p.table.dtype == np.uint16
+    assert peak < 2 * p.table.nbytes
+
+
 def test_free_lrb_monoid_stops_below_the_element_cap():
     # lrb:7 has 13 700 elements, past from_presentation's 10 000
     with pytest.raises(ValueError, match="1 <= k <= 6"):

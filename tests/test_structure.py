@@ -35,6 +35,58 @@ def test_no_module_imports_a_private_name_from_another():
     assert {name: hits for name, hits in offenders.items() if hits} == {}
 
 
+# the package's public names, by the submodule that defines each
+_PUBLIC = {
+    "words": "ALPHABET Identity ParseError Substitution apply_substitution content"
+             " delete_letters embeds format_word initial_part occ parse_identity parse_word"
+             " reverse",
+    "deduction": "NO UNKNOWN YES Bounds Derivation DerivationError IdentitySystem RewriteStep"
+                 " SearchResult check_derivation derivable expand load_identity_system"
+                 " one_step_rewrites parse_identity_system system",
+    "monoids": "FiniteMonoid IndexPeriod InvalidTable LikelyInfinite Presentation"
+               " SearchCapExceeded UnsupportedPresentation cyclic_counter cyclic_group"
+               " direct_product find_counterexample free_lrb_monoid from_presentation"
+               " from_table is_commutative is_completely_regular load_monoid"
+               " monoid_index_period named_monoid opposite parse_presentation parse_table"
+               " presentation",
+    "varieties": "FAILS HOLDS Verdict VarietySpec catalog decide_identity enumerate_W"
+                 " is_isoterm_power lookup membership_in_W model_contains_basis variety_A"
+                 " variety_B variety_C variety_Z",
+    "lattices": "Check CycleError ElementReport FiniteLattice NotALattice Partition"
+                " all_partitions classify_element fixtures is_cancellable_element"
+                " is_costandard_element is_distributive_lattice is_modular_element"
+                " is_modular_lattice load_lattice jezek_modular named_lattice parse_lattice"
+                " partition_lattice",
+    "verify": "VerificationReport commutation_chain run_verification",
+}
+
+
+def test_the_package_surface_is_its_submodules_public_names():
+    homes = {name: module for module, names in _PUBLIC.items() for name in names.split()}
+    assert len(homes) == 90 and sorted(monvar.__all__) == sorted(homes)
+    for name, module in homes.items():
+        assert getattr(monvar, name) is getattr(getattr(monvar, module), name), name
+    assert set(homes) <= set(dir(monvar))
+    namespace = {}
+    exec("from monvar import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(homes)
+    with pytest.raises(AttributeError):
+        monvar.no_such_name
+    with pytest.raises(ImportError):
+        exec("from monvar import no_such_name", {})
+
+
+def test_the_package_reads_a_name_from_its_submodule_on_every_access(monkeypatch):
+    # nothing is cached in the package, so a name replaced on its submodule
+    # (here, or by a tracing wrapper) is seen at once and restored with it
+    original = monvar.lookup
+    with monkeypatch.context() as patch:
+        patch.setattr(monvar.varieties, "lookup", len)
+        assert monvar.lookup is len
+    assert monvar.lookup is original
+    assert "lookup" not in vars(monvar)
+
+
 def test_numpy_is_bound_in_one_module():
     # every other module takes the lazily loaded numpy from that one
     binders = [p.name for p in sorted(PACKAGE.rglob("*.py"))
