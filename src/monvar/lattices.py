@@ -4,6 +4,13 @@ Provides brute-force (but vectorized) tests for modular, cancellable and
 costandard elements, whole-lattice modularity/distributivity with witness
 triples, partition lattices under refinement, and the bundled example
 lattices shipped as data files.
+
+The meet and join tables are symmetric, so the element tests read rows of
+them, never columns.  The modular failures of an element are its costandard
+failures at a <= b, so `classify_element` builds one n x n matrix for both.
+The cancellable test first looks for a repeated pair (x v a, x ^ a) by a
+key computed in intp (a uint8 product would wrap past 16 elements), and
+builds the n x n matrix of equal pairs only to name a witness.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ class CycleError(ValueError):
     """The cover relation or order matrix is not antisymmetric."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Check:
     """Boolean verdict plus a counterexample (names) when the answer is no."""
 
@@ -33,6 +40,9 @@ class Check:
 
     def __bool__(self):
         return self.ok
+
+
+_PASS = Check(True)  # every passing test returns this one object
 
 
 class FiniteLattice:
@@ -150,40 +160,51 @@ def _verdict(lat: FiniteLattice, bad, *lead) -> Check:
     """Check(True) when nothing is bad, else the names of `lead` followed by
     the first bad index pair in row-major order."""
     if not bad.any():
-        return Check(True)
-    return Check(False, tuple(lat.names[int(k)] for k in (*lead, *np.argwhere(bad)[0])))
+        return _PASS
+    a, b = divmod(int(bad.argmax()), bad.shape[1])
+    return Check(False, tuple(lat.names[int(k)] for k in (*lead, a, b)))
+
+
+def _costandard_failures(lat: FiniteLattice, x: int):
+    """[a, b] -> a v (x ^ b) != (a v x) ^ (a v b).  Where a <= b, a v b = b,
+    so those cells are the failures of the modular law (a v x) ^ b = a v (x ^ b).
+
+    Both tables are symmetric, so every read is a row read: row x ^ b of join
+    is a v (x ^ b) over a, and the right side is one flat gather from the
+    rows a v x of meet."""
+    lhs = lat.join[lat.meet[x]].T
+    return lhs != gather(lat.meet, lat.join[x][:, None], lat.join)
+
+
+def _cancellable(lat: FiniteLattice, x: int) -> Check:
+    """Joining and meeting with x must separate distinct elements: the n
+    pairs (x v a, x ^ a) are checked for repeats by a key in intp, and the
+    n x n matrix of equal pairs is built only for the witness."""
+    jx, mx = lat.join[x], lat.meet[x]
+    key = np.sort(np.multiply(jx, len(lat), dtype=np.intp) + mx)
+    if (key[1:] != key[:-1]).all():
+        return _PASS
+    same = (jx[:, None] == jx) & (mx[:, None] == mx)
+    np.fill_diagonal(same, False)
+    return _verdict(lat, same)
 
 
 def is_modular_element(lat: FiniteLattice, element) -> Check:
     """a <= b must force (x v a) ^ b == (x ^ b) v a; witness is a bad (a, b)."""
-    x = lat.index(element)
-    mx = lat.meet[x]  # row: x ^ b over b
-    jx = lat.join[:, x]  # column: a v x over a
-    lhs = lat.join[:, mx]  # [a, b] -> a v (x ^ b)
-    rhs = lat.meet[jx]  # [a, b] -> (a v x) ^ b
-    return _verdict(lat, (lhs != rhs) & lat.leq)
+    return _verdict(lat, _costandard_failures(lat, lat.index(element)) & lat.leq)
 
 
 def is_cancellable_element(lat: FiniteLattice, element) -> Check:
     """Joining and meeting with the element must separate distinct elements."""
-    x = lat.index(element)
-    jx = lat.join[x]
-    mx = lat.meet[x]
-    same = (jx[:, None] == jx[None, :]) & (mx[:, None] == mx[None, :])
-    return _verdict(lat, same & ~np.eye(len(lat), dtype=bool))
+    return _cancellable(lat, lat.index(element))
 
 
 def is_costandard_element(lat: FiniteLattice, element) -> Check:
     """a v (x ^ b) == (a v x) ^ (a v b) for all a, b; witness is a bad (a, b)."""
-    x = lat.index(element)
-    mx = lat.meet[x]
-    jx = lat.join[:, x]
-    lhs = lat.join[:, mx]  # [a, b] -> a v (x ^ b)
-    rhs = gather(lat.meet, jx[:, None], lat.join)  # [a, b] -> (a v x) ^ (a v b)
-    return _verdict(lat, lhs != rhs)
+    return _verdict(lat, _costandard_failures(lat, lat.index(element)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ElementReport:
     element: str
     modular: Check
@@ -192,12 +213,13 @@ class ElementReport:
 
 
 def classify_element(lat: FiniteLattice, element) -> ElementReport:
-    return ElementReport(
-        element=lat.names[lat.index(element)],
-        modular=is_modular_element(lat, element),
-        cancellable=is_cancellable_element(lat, element),
-        costandard=is_costandard_element(lat, element),
-    )
+    """The three element tests in one pass: the modular failures are the
+    costandard failures at a <= b, so one matrix serves both."""
+    x = lat.index(element)
+    bad = _costandard_failures(lat, x)
+    costandard = _verdict(lat, bad)
+    modular = costandard if costandard.ok else _verdict(lat, bad & lat.leq)
+    return ElementReport(lat.names[x], modular, _cancellable(lat, x), costandard)
 
 
 def is_modular_lattice(lat: FiniteLattice) -> Check:
@@ -207,7 +229,7 @@ def is_modular_lattice(lat: FiniteLattice) -> Check:
         rhs = lat.meet[lat.join[a]]  # [x, b] -> (a v x) ^ b
         if not (res := _verdict(lat, (lhs != rhs) & lat.leq[a][None, :], a)):
             return res
-    return Check(True)
+    return _PASS
 
 
 def is_distributive_lattice(lat: FiniteLattice) -> Check:
@@ -218,7 +240,7 @@ def is_distributive_lattice(lat: FiniteLattice) -> Check:
         rhs = gather(lat.join, mx[:, None], mx[None, :])  # [y, z] -> (x^y) v (x^z)
         if not (res := _verdict(lat, lhs != rhs, x)):
             return res
-    return Check(True)
+    return _PASS
 
 
 # ---------------------------------------------------------------------------
@@ -273,11 +295,11 @@ def partition_lattice(k: int) -> FiniteLattice:
     if not 1 <= k <= 6:
         raise ValueError("partition lattices are supported for 1 <= k <= 6")
     parts = all_partitions(k)
-    n = len(parts)
-    leq = np.zeros((n, n), dtype=bool)
-    for i, p in enumerate(parts):
-        for j, q in enumerate(parts):
-            leq[i, j] = p.refines(q)
+    block = np.array([[next(i for i, b in enumerate(p.blocks) if e in b)
+                       for e in range(1, k + 1)] for p in parts])
+    same = block[:, :, None] == block[:, None, :]  # same[p, e, f]: e, f share a block of p
+    # p refines q iff every pair in one block of p is in one block of q
+    leq = (same[:, None] <= same[None, :]).all(axis=(2, 3))
     return FiniteLattice([p.label for p in parts], leq)
 
 

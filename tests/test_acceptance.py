@@ -1,13 +1,17 @@
-"""Acceptance gate: twelve end-to-end criteria with pinned time budgets.
+"""Acceptance gate: thirteen end-to-end criteria with pinned time budgets.
 
 Criteria 01-11 time the eleven checks of ``monvar.verify.CHECKS``, which hold
-every assertion; criterion 12 runs ``monvar verify-paper`` through the CLI.
+every assertion; criterion 12 runs ``monvar verify-paper`` through the CLI;
+criterion 13 runs ``monvar check`` where a rule names the witness.
 Each test prints one pass/fail line (run with -s or -rA to see them all).
 """
 
 import time
 
+import pytest
+
 from monvar import cli
+from monvar.varieties import lookup
 from monvar.verify import CHECKS
 
 _CHECKS = {name: (anchor, check) for name, anchor, check in CHECKS}
@@ -95,6 +99,28 @@ def test_criterion_10_isoterm_power_criterion():
 
 def test_criterion_11_word_algebra_laws():
     _criterion("word-algebra-laws")
+
+
+# CLI runs whose witness a decision rule names -> budget in seconds; a scan of
+# the assignment cube took 0.2-0.8 s on each
+RULE_WITNESS_RUNS = {
+    ("check", "SL", "bcdefghijklmnopqrstuvwxyz=abcdefghijklmnopqrstuvwxyz"): 0.1,
+    ("check", "A2", "bcdefghijklmnopqrstuvwxyz=abcdefghijklmnopqrstuvwxyz"): 0.1,
+    ("check", "C2", "bcdefghijklmnop=abcdefghijklmnop"): 0.1,
+}
+
+
+@pytest.mark.parametrize("argv", RULE_WITNESS_RUNS)
+def test_criterion_13_rule_witnesses_are_built(capsys, argv):
+    assert lookup(argv[1]).model is not None  # built before the clock starts
+
+    def body():
+        code = cli.main(list(argv))
+        out = capsys.readouterr().out
+        assert code == 1 and "counterexample: a -> " in out
+        return "exit 1 with the witness"
+
+    _report(13, f"monvar {' '.join(argv)[:40]}", RULE_WITNESS_RUNS[argv], body)
 
 
 def test_criterion_12_verify_paper_command(capsys):

@@ -32,11 +32,11 @@ def test_check_fails_with_witness(capsys):
     assert "x -> a" in out
 
 
-def test_check_com_witness_beyond_search_cap_is_omitted(capsys):
+def test_check_com_witness_beyond_search_cap_is_built(capsys):
+    # 201^4 cells is past the guard, but the rule names the witness
     code, out, _ = run(capsys, "check", "COM", "x200yzt=yzt")
     assert code == 1
-    assert "fails" in out
-    assert "counterexample:" not in out
+    assert "counterexample: t -> 1, x -> a, y -> 1, z -> 1" in out
     code, out, _ = run(capsys, "check", "COM", "x30yzt=yzt")
     assert code == 1
     assert "counterexample: t -> 1, x -> a, y -> 1, z -> 1" in out
@@ -52,6 +52,20 @@ def test_check_rule_verdict_searches_its_model_up_to_the_guard(capsys):
     assert code == 1
     assert "fails" in out
     assert "counterexample:" not in out
+
+
+_LETTERS = "abcdefghijklmnopqrstuvwxyz"
+
+
+@pytest.mark.parametrize("variety, letters, image", [
+    ("SL", _LETTERS, "e"), ("A2", _LETTERS, "g"), ("C2", _LETTERS[:16], "a")])
+def test_check_rule_witness_over_many_letters(capsys, variety, letters, image):
+    # the witness sends the missing letter a to the generator: a cube of 2^26
+    # or 3^16 cells holds it, and the rule names it without a scan
+    code, out, _ = run(capsys, "check", variety, f"{letters[1:]}={letters}")
+    assert code == 1
+    rest = ", ".join(f"{c} -> 1" for c in letters[1:])
+    assert out.splitlines()[-1] == f"  counterexample: a -> {image}, {rest}"
 
 
 def test_check_com_witness_past_the_element_cap_is_omitted(capsys):

@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from monvar.lattices import (
+    Check,
     CycleError,
+    ElementReport,
     FiniteLattice,
     NotALattice,
     Partition,
@@ -19,6 +21,7 @@ from monvar.lattices import (
     is_modular_element,
     is_modular_lattice,
     jezek_modular,
+    named_lattice,
     parse_lattice,
     partition_lattice,
 )
@@ -132,6 +135,84 @@ def test_tables_match_the_bound_oracle_on_set_families():
 
     check()
     assert seen == {None, "meet", "join"}
+
+
+def _reference_report(lat, x):
+    """The three element tests by their n x n formulas, reading columns and
+    indexing with plain 2-d fancy indexing: the oracle for the kernel."""
+    mx, jx = lat.meet[x], lat.join[:, x]
+    lhs = lat.join[:, mx]  # [a, b] -> a v (x ^ b)
+
+    def check(bad):
+        if not bad.any():
+            return Check(True)
+        return Check(False, tuple(lat.names[int(k)] for k in np.argwhere(bad)[0]))
+
+    same = (lat.join[x][:, None] == lat.join[x][None, :]) & (mx[:, None] == mx[None, :])
+    return ElementReport(
+        lat.names[x],
+        modular=check((lhs != lat.meet[jx]) & lat.leq),  # [a, b] -> (a v x) ^ b
+        cancellable=check(same & ~np.eye(len(lat), dtype=bool)),
+        costandard=check(lhs != lat.meet[jx[:, None], lat.join]))  # (a v x) ^ (a v b)
+
+
+def _downset_lattice(m, relations):
+    """The down-sets of the order on range(m) generated by `relations`
+    (pairs i < j), ordered by inclusion; a distributive lattice."""
+    below = [1 << p for p in range(m)]  # below[p]: bit mask of the points <= p
+    for lo, hi in sorted(relations, key=lambda r: r[1]):
+        below[hi] |= below[lo]
+    for p in range(m):  # close along the linear extension 0 < 1 < ... < m - 1
+        for q in range(p):
+            if below[p] >> q & 1:
+                below[p] |= below[q]
+    sets = [d for d in range(1 << m) if all(below[p] & ~d == 0 for p in range(m) if d >> p & 1)]
+    return FiniteLattice([f"d{d}" for d in sets], [[a & ~b == 0 for b in sets] for a in sets])
+
+
+_M3 = FiniteLattice.from_covers("0 a b c 1".split(), [("0", e) for e in "abc"]
+                                + [(e, "1") for e in "abc"])
+_N5 = FiniteLattice.from_covers("0 a b c 1".split(),
+                                [("0", "a"), ("a", "b"), ("b", "1"), ("0", "c"), ("c", "1")])
+_NAMED = ("fig1", "fig2", "chainD", "part:2", "part:3", "part:4", "part:5")
+
+# down-set lattices of 17 to 120 elements: past 16 elements a uint8
+# join[x] * n would wrap
+_DOWNSETS = st.integers(5, 7).flatmap(lambda m: st.lists(
+    st.tuples(st.integers(0, m - 1), st.integers(0, m - 1)).filter(lambda r: r[0] < r[1]),
+    max_size=m).map(lambda rel: _downset_lattice(m, rel))).filter(lambda lat: 17 <= len(lat) <= 120)
+
+
+def test_element_kernel_matches_the_n_by_n_formulas():
+    lattices = {name: named_lattice(name) for name in _NAMED} | {"M3": _M3, "N5": _N5}
+    seen = set()
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(st.one_of(_DOWNSETS, st.sampled_from(sorted(lattices)).map(lattices.get)),
+           st.data())
+    def check(lat, data):
+        elements = data.draw(st.lists(st.integers(0, len(lat) - 1), min_size=1,
+                                      max_size=8, unique=True))
+        for x in elements:
+            want = _reference_report(lat, x)
+            assert classify_element(lat, x) == want
+            assert is_modular_element(lat, x) == want.modular
+            assert is_cancellable_element(lat, x) == want.cancellable
+            assert is_costandard_element(lat, x) == want.costandard
+            seen.update((prop, getattr(want, prop).ok, len(lat) > 16)
+                        for prop in ("modular", "cancellable", "costandard"))
+
+    check()
+    # both verdicts of each test, in lattices past 16 elements too
+    assert seen == {(prop, ok, big) for prop in ("modular", "cancellable", "costandard")
+                    for ok in (True, False) for big in (True, False)}
+
+
+def test_passing_checks_share_one_object():
+    lat = fixtures()["chainD"]
+    rep = classify_element(lat, lat.top)
+    assert rep.modular is rep.cancellable is rep.costandard is is_modular_element(lat, 0)
+    assert not hasattr(rep, "__dict__") and not hasattr(rep.modular, "__dict__")
 
 
 def test_fig1_element_checks():
