@@ -5,6 +5,12 @@ costandard elements, whole-lattice modularity/distributivity with witness
 triples, partition lattices under refinement, and the bundled example
 lattices shipped as data files.
 
+The meet and join tables of a lattice given by its order come from
+`_meet_table`.  Those of a partition lattice come from the blocks: the meet
+of two partitions is their common refinement and the join is the transitive
+closure of their union (Ore, "Theory of equivalence relations", 1942), both
+worked one table row at a time so temporaries stay O(n k^2).
+
 The meet and join tables are symmetric, so the element tests read rows of
 them, never columns.  The modular failures of an element are its costandard
 failures at a <= b, so `classify_element` builds one n x n matrix for both.
@@ -55,6 +61,22 @@ class FiniteLattice:
     """
 
     def __init__(self, names, leq):
+        self._set_order(names, leq)
+        self.meet = _meet_table(self.names, self.leq, "meet")
+        self.join = _meet_table(self.names, self.leq.T, "join")  # meets of the dual order
+
+    @classmethod
+    def _from_tables(cls, names, leq, meet, join) -> "FiniteLattice":
+        """A lattice whose meet and join tables come with its construction:
+        the order is checked as in __init__, the tables are taken as given."""
+        lat = cls.__new__(cls)
+        lat._set_order(names, leq)
+        dtype = index_dtype(len(lat.names))
+        lat.meet, lat.join = meet.astype(dtype), join.astype(dtype)
+        return lat
+
+    def _set_order(self, names, leq):
+        """Check that `leq` is a partial order on distinct `names`, and keep both."""
         names = tuple(names)
         if len(set(names)) != len(names):
             raise ValueError("element names must be distinct")
@@ -73,8 +95,6 @@ class FiniteLattice:
             raise ValueError("order matrix must be transitively closed")
         self.names = names
         self.leq = leq
-        self.meet = _meet_table(names, leq, "meet")
-        self.join = _meet_table(names, leq.T, "join")  # meets of the dual order
         self._index = {name: i for i, name in enumerate(names)}
 
     @classmethod
@@ -291,7 +311,16 @@ def all_partitions(k: int) -> list[Partition]:
 
 
 def partition_lattice(k: int) -> FiniteLattice:
-    """Partitions of {1..k} ordered by refinement (finer below coarser)."""
+    """Partitions of {1..k} ordered by refinement (finer below coarser).
+
+    The meet is the common refinement and the join the transitive closure
+    of the union (Ore 1942), so both tables come from the blocks, not from
+    the order: each partition is keyed by the bits of its k x k same-block
+    matrix, the meet's key is the AND of two keys, and the join's matrix is
+    the closure of the OR of two matrices by Boolean squaring.  One
+    searchsorted over the sorted keys maps keys back to indices.  The tables
+    are filled one row at a time, so temporaries hold O(n k^2) cells,
+    n = Bell(k) <= 203."""
     if not 1 <= k <= 6:
         raise ValueError("partition lattices are supported for 1 <= k <= 6")
     parts = all_partitions(k)
@@ -300,7 +329,20 @@ def partition_lattice(k: int) -> FiniteLattice:
     same = block[:, :, None] == block[:, None, :]  # same[p, e, f]: e, f share a block of p
     # p refines q iff every pair in one block of p is in one block of q
     leq = (same[:, None] <= same[None, :]).all(axis=(2, 3))
-    return FiniteLattice([p.label for p in parts], leq)
+    n = len(parts)
+    bits = np.left_shift(1, np.arange(k * k, dtype=np.int64))  # k^2 <= 36 bits
+    key = same.reshape(n, k * k) @ bits
+    order = np.argsort(key)
+    sorted_key = key[order]
+    meet = np.empty((n, n), dtype=index_dtype(n))
+    join = np.empty_like(meet)
+    for p in range(n):
+        meet[p] = order[np.searchsorted(sorted_key, key[p] & key)]
+        closure = (same[p] | same).view(np.uint8)
+        for _ in range((k - 1).bit_length()):  # s squarings reach paths of 2^s >= k steps
+            closure = (closure @ closure).astype(bool).view(np.uint8)
+        join[p] = order[np.searchsorted(sorted_key, closure.reshape(n, k * k) @ bits)]
+    return FiniteLattice._from_tables([p.label for p in parts], leq, meet, join)
 
 
 def jezek_modular(p: Partition) -> bool:
@@ -375,5 +417,9 @@ def named_lattice(name: str) -> FiniteLattice:
     if name in _FIXTURE_FILES:
         return fixtures()[name]
     if name.startswith("part:"):
-        return partition_lattice(int(name[len("part:"):]))
+        try:
+            k = int(name[len("part:"):])
+        except ValueError:  # part:x is no family member
+            raise KeyError(f"unknown lattice {name!r}") from None
+        return partition_lattice(k)
     raise KeyError(f"unknown lattice {name!r}")

@@ -393,7 +393,11 @@ def named_monoid(name: str) -> FiniteMonoid:
     for prefix, build in (("counter:", cyclic_counter), ("group:", cyclic_group),
                           ("lrb:", free_lrb_monoid)):
         if name.startswith(prefix):
-            return build(int(name[len(prefix):]))
+            try:
+                size = int(name[len(prefix):])
+            except ValueError:  # counter:x is no family member
+                raise KeyError(f"unknown monoid {name!r}") from None
+            return build(size)
     raise KeyError(f"unknown monoid {name!r}")
 
 

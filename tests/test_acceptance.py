@@ -1,8 +1,9 @@
-"""Acceptance gate: thirteen end-to-end criteria with pinned time budgets.
+"""Acceptance gate: fourteen end-to-end criteria with pinned time budgets.
 
 Criteria 01-11 time the eleven checks of ``monvar.verify.CHECKS``, which hold
 every assertion; criterion 12 runs ``monvar verify-paper`` through the CLI;
-criterion 13 runs ``monvar check`` where a rule names the witness.
+criterion 13 runs ``monvar check`` where a rule names the witness; criterion
+14 counts the modular elements of the largest bundled lattice, part:6.
 Each test prints one pass/fail line (run with -s or -rA to see them all).
 """
 
@@ -134,3 +135,14 @@ def test_criterion_12_verify_paper_command(capsys):
         return "exit 0, all 11 checks pass"
 
     _report(12, "the verify-paper command reruns every check", 300.0, body)
+
+
+def test_criterion_14_largest_partition_lattice(capsys):
+    def body():
+        code = cli.main(["lattice", "part:6", "--count-modular"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert out == "58 of 203 elements are modular\n"
+        return "exit 0, 58 of 203 modular"
+
+    _report(14, "monvar lattice part:6 --count-modular", 1.0, body)

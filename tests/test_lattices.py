@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -338,6 +339,27 @@ def test_partition_lattice_structure():
     assert lat.top == "123"
     assert lat.meet_of("12|3", "13|2") == "1|2|3"
     assert lat.join_of("12|3", "13|2") == "123"
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_partition_tables_from_blocks_match_the_generic_tables(k):
+    lat = partition_lattice(k)
+    ref = FiniteLattice(lat.names, lat.leq)  # tables by _meet_table
+    for got, want in ((lat.meet, ref.meet), (lat.join, ref.join)):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+
+def test_partition_lattice_builds_its_tables_row_by_row():
+    # building every (n, n, k, k) block matrix at once peaks near 14 MB
+    partition_lattice(6)
+    tracemalloc.start()
+    try:
+        partition_lattice(6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
 
 
 def test_partition_lattice_not_modular_for_k4():

@@ -180,3 +180,20 @@ def test_unknown_builtin_names_raise_keyerror_and_exit_65(capsys):
     assert cli.main(["monoid", "info", "nosuch"]) == 65
     assert cli.main(["lattice", "nosuch"]) == 65
     assert "neither a builtin lattice nor a readable file" in capsys.readouterr().err
+    # a family name whose parameter is no integer is an unknown name too
+    for name in ("counter:x", "group:", "lrb:y"):
+        with pytest.raises(KeyError, match="unknown monoid"):
+            named_monoid(name)
+        assert cli.main(["monoid", "info", name]) == 65
+        assert capsys.readouterr().err == (
+            f"error: {name!r} is neither a builtin monoid nor a readable file\n")
+    with pytest.raises(KeyError, match="unknown lattice"):
+        named_lattice("part:x")
+    assert cli.main(["lattice", "part:x"]) == 65
+    assert capsys.readouterr().err == (
+        "error: 'part:x' is neither a builtin lattice nor a readable file\n")
+    # integers out of range keep their own messages
+    assert cli.main(["monoid", "info", "counter:0"]) == 65
+    assert "cyclic_counter needs n >= 1" in capsys.readouterr().err
+    assert cli.main(["lattice", "part:7"]) == 65
+    assert "supported for 1 <= k <= 6" in capsys.readouterr().err
