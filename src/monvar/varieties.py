@@ -3,12 +3,15 @@
 Each entry carries a defining identity basis and/or a generating finite
 monoid, plus a decision rule tag.  Rule-based entries (content, initial
 part, occurrence, capped occurrence, modular occurrence) are rows of one
-table of word invariants: u = v holds iff u and v have the same invariant,
-and a failure is witnessed in the generating monoid.  Finite-model entries
-are decided by exhaustive model checking; the rest fall back to bounded
-deduction plus the refutation models derived from the basis (the members of
-a fixed pool of small monoids), answering unknown honestly when both are
-silent.
+table of word invariants: u = v holds iff u and v have the same invariant.
+A failure is witnessed in the generating monoid; for the cyclic commutative
+ones (SL, C<n>, A<m>, and a counter for COM) the witness is built from the
+occurrence counts, with no table.  Finite-model entries are decided by
+exhaustive model checking; the rest fall back to bounded deduction plus a
+fixed pool of five cyclic commutative monoids, those that satisfy the basis,
+which refute from occurrence counts too, answering unknown honestly when
+both are silent.  Word-level work, refutations included, never builds a
+table, so a deduction-only verdict never loads numpy.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import Callable
 
 from .deduction import (
     NO,
@@ -30,7 +34,6 @@ from .deduction import (
 )
 from .monoids import (
     FiniteMonoid,
-    LikelyInfinite,
     SearchCapExceeded,
     find_counterexample,
     from_table,
@@ -74,14 +77,21 @@ class VarietySpec:
             raise ValueError(f"variety {self.name} needs a basis or a model")
 
     @cached_property
-    def refutation_models(self) -> tuple[FiniteMonoid, ...]:
-        """Members of a deduction-only variety among a fixed pool of small
-        monoids, for refuting identities; () under any other rule."""
+    def _refuters(self) -> tuple[_Cyclic, ...]:
+        """The rows of the refutation pool whose monoids satisfy the basis of
+        a deduction-only variety, in pool order; () under any other rule."""
         if self.rule != RULE_DEDUCTION:
             return ()
-        pool = (_semilattice_2(), named_monoid("counter:2"), named_monoid("counter:3"),
-                named_monoid("group:2"), named_monoid("group:3"))
-        return tuple(m for m in pool if model_contains_basis(m, self.basis))
+        return tuple(row for row in _POOL
+                     if all(row.witness(ident) is None for ident in self.basis))
+
+    @cached_property
+    def refutation_models(self) -> tuple[FiniteMonoid, ...]:
+        """Members of a deduction-only variety among a fixed pool of small
+        monoids, for refuting identities; () under any other rule.  The
+        tables are built when this is first read; decide_identity refutes
+        from the occurrence counts instead."""
+        return tuple(row.monoid() for row in self._refuters)
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +232,11 @@ def lookup(name: str) -> VarietySpec:
         parts = key.split(":")
         if len(parts) != 3:
             raise KeyError(f"Z family names look like Z:<n>:<word>, got {name!r}")
-        return variety_Z(int(parts[1]), parse_word(parts[2]))
+        try:
+            n = int(parts[1])
+        except ValueError:  # Z:a:x is no family member
+            raise KeyError(f"unknown variety {name!r}") from None
+        return variety_Z(n, parse_word(parts[2]))
     raise KeyError(f"unknown variety {name!r}")
 
 
@@ -232,6 +246,60 @@ def catalog() -> dict[str, VarietySpec]:
     for spec in (variety_C(2), variety_C(3), variety_B(2), variety_A(2)):
         out[spec.name] = spec
     return dict(sorted(out.items()))
+
+
+# ---------------------------------------------------------------------------
+# cyclic commutative models, decided from occurrence counts
+
+
+@dataclass(frozen=True)
+class _Cyclic:
+    """A cyclic commutative monoid 1, g, g^2, ..., decided by occurrence counts.
+
+    A letter that occurs k times in a word and is sent to the generator g
+    gives the word the value g^power(k) when every other letter goes to 1.
+    So an identity holds in the monoid iff every letter has equal powers on
+    both sides.  `monoid` builds the same monoid as a table, with g as its
+    element 1."""
+
+    power: Callable[[int], int]
+    order: int
+    generator: str
+    monoid: Callable[[], FiniteMonoid]
+
+    def witness(self, ident: Identity) -> dict[str, str] | None:
+        """The violating assignment that sends one letter c to the generator
+        and every other letter to 1, for the last c in sorted order whose
+        powers differ, or None if the identity holds.
+
+        The letters whose powers agree never separate the sides, so this is
+        find_counterexample's lexicographically first witness in `monoid`,
+        found without a table."""
+        c = next((c for c in sorted(ident.letters(), reverse=True)
+                  if self.power(occ(ident.lhs, c)) != self.power(occ(ident.rhs, c))), None)
+        if c is None:
+            return None
+        return {d: self.generator if d == c else "1" for d in sorted(ident.letters())}
+
+
+def _counter(n: int) -> _Cyclic:
+    """counter:n, 1, a, ..., a^(n-1), 0: the count capped at n."""
+    return _Cyclic(lambda k: min(k, n), n + 1, "a", lambda: named_monoid(f"counter:{n}"))
+
+
+def _group(m: int) -> _Cyclic:
+    """group:m, 1, g, ..., g^(m-1): the count mod m."""
+    return _Cyclic(lambda k: k % m, m, "g", lambda: named_monoid(f"group:{m}"))
+
+
+_SEMILATTICE = _Cyclic(lambda k: min(k, 1), 2, "e", _semilattice_2)
+
+# the refutation pool of deduction-only entries, in the order it is tried
+_POOL = (_SEMILATTICE, _counter(2), _counter(3), _group(2), _group(3))
+
+# rule tag -> the row of its generating model, given the parameter
+_RULE_MODELS = {RULE_SL: lambda p: _SEMILATTICE, RULE_CN: _counter, RULE_COM: _counter,
+                RULE_AM: _group}
 
 
 # ---------------------------------------------------------------------------
@@ -257,26 +325,6 @@ _INVARIANTS = {
 }
 
 
-def _one_letter_witness(m: FiniteMonoid, ident: Identity) -> dict[str, str] | None:
-    """The violating assignment that sends one letter c to the generator of
-    a cyclic commutative model and every other letter to 1, for the last c
-    in sorted order that separates the sides, or None if no letter does.
-
-    Under it a word's value is the generator to the power of its
-    occurrences of c, computed in the model.  In such a model the letters
-    whose powers agree never separate the sides, so this is
-    find_counterexample's lexicographically first witness, found without a
-    scan.  The generator is element 1 of every rule model: e, a or g."""
-    power = [m.one]
-    for _ in range(max(len(ident.lhs), len(ident.rhs))):
-        power.append(m.mul(power[-1], 1))
-    c = next((c for c in sorted(ident.letters(), reverse=True)
-              if power[occ(ident.lhs, c)] != power[occ(ident.rhs, c)]), None)
-    if c is None:
-        return None
-    return {d: m.names[1 if d == c else m.one] for d in sorted(ident.letters())}
-
-
 def decide_identity(v: VarietySpec, ident: Identity,
                     bounds: Bounds = Bounds()) -> Verdict:
     lhs, rhs = ident.lhs, ident.rhs
@@ -287,13 +335,14 @@ def decide_identity(v: VarietySpec, ident: Identity,
         if l == r:
             return Verdict(HOLDS, reason=agree.format(l=l, p=v.param))
         bad = next((c for c in sorted(ident.letters()) if occ(lhs, c) != occ(rhs, c)), None)
-        try:  # COM has no model: a counter monoid that counts past bad's occurrences
-            model = v.model if v.model is not None else named_monoid(
-                f"counter:{max(occ(lhs, bad), occ(rhs, bad)) + 1}")
-            witness = (find_counterexample(model, ident) if v.rule == RULE_LRB
-                       else _one_letter_witness(model, ident))
-        except (LikelyInfinite, SearchCapExceeded):  # the rule has decided
-            witness = None
+        if v.rule == RULE_LRB:
+            try:
+                witness = find_counterexample(v.model, ident)
+            except SearchCapExceeded:  # the rule has decided
+                witness = None
+        else:  # COM has no model: a counter that counts past bad's occurrences
+            p = max(occ(lhs, bad), occ(rhs, bad)) + 1 if v.rule == RULE_COM else v.param
+            witness = _RULE_MODELS[v.rule](p).witness(ident)
         return Verdict(FAILS, witness=witness,
                        reason=differ.format(l=l, r=r, p=v.param, bad=bad))
 
@@ -311,11 +360,11 @@ def decide_identity(v: VarietySpec, ident: Identity,
     if res.status == NO:
         return Verdict(FAILS, reason="rewrite closure exhausted without reaching the"
                                      " other side (not derivable)")
-    for m in v.refutation_models:
-        cx = find_counterexample(m, ident)
+    for row in v._refuters:
+        cx = row.witness(ident)
         if cx is not None:
             return Verdict(FAILS, witness=cx,
-                           reason=f"fails in a member monoid of order {len(m)}")
+                           reason=f"fails in a member monoid of order {row.order}")
     return Verdict(UNKNOWN, reason="derivation search truncated by bounds and no"
                                    " refutation model applies")
 

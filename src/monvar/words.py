@@ -49,10 +49,14 @@ def parse_word(text: str) -> str:
             break
         pos = m.end()
         letter, digits = m.group(1), m.group(2)
-        exp = int(digits) if digits else 1
+        try:  # past int()'s digit limit or the index size; below, memory may still run out
+            exp = int(digits) if digits else 1
+            term = letter * exp
+        except (ValueError, OverflowError):
+            raise ParseError(f"exponent too large in {m.group(0)!r}") from None
         if exp < 1:
             raise ParseError(f"exponent must be positive in {m.group(0)!r}")
-        out.append(letter * exp)
+        out.append(term)
     if pos != len(s):
         raise ParseError(f"cannot parse word text {text!r} at {s[pos:]!r}")
     return "".join(out)

@@ -27,6 +27,8 @@ from monvar.varieties import (
     K_LHS,
     K_RHS,
     UNKNOWN,
+    _POOL,
+    _RULE_MODELS,
     Bounds,
     VarietySpec,
     catalog,
@@ -283,6 +285,49 @@ def test_mon_refutes_a_truncated_search_in_a_pool_monoid():
     assert v.witness == {"x": "1", "y": "e"}
     assert v.reason == "fails in a member monoid of order 2"
     assert find_counterexample(spec.refutation_models[0], ident) == v.witness
+
+
+_DEDUCTION_ONLY = sorted({*(name for name, spec in catalog().items()
+                             if spec.rule == "deduction-only"),
+                           "B3", "B5", "Z:1:y", "Z:2:xy"})
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(_DEDUCTION_ONLY),
+       st.text(alphabet="xyzt", max_size=7), st.text(alphabet="xyzt", max_size=7))
+def test_refutations_match_a_scan_of_the_refutation_models(name, lhs, rhs):
+    # depth 0 leaves every non-trivial identity to the refuters; the
+    # reference is the scan of the tables, in order, that decide_identity
+    # ran before it refuted from occurrence counts
+    spec, ident = lookup(name), Identity(lhs, rhs)
+    verdict = decide_identity(spec, ident, Bounds(max_len=7, max_depth=0))
+    if ident.trivial:
+        assert verdict.value == HOLDS
+        return
+    for m in spec.refutation_models:
+        cx = find_counterexample(m, ident)
+        if cx is not None:
+            assert (verdict.value, verdict.witness, verdict.reason) == (
+                FAILS, cx, f"fails in a member monoid of order {len(m)}")
+            return
+    assert verdict.value == UNKNOWN and verdict.witness is None
+
+
+def test_each_cyclic_row_is_its_monoid():
+    # generator, order and powers of each pool row and rule model, against the table
+    specs = [lookup(name) for name in ("SL", "C2", "C3", "C4", "A2", "A3", "A5")]
+    rule_rows = [_RULE_MODELS[spec.rule](spec.param) for spec in specs]
+    for row in (*_POOL, *rule_rows):
+        m = row.monoid()
+        assert (m.names[1], len(m)) == (row.generator, row.order)
+        powers = [m.one]
+        for _ in range(12):
+            powers.append(m.mul(powers[-1], 1))
+        for j in range(13):
+            for k in range(13):
+                assert (powers[j] == powers[k]) == (row.power(j) == row.power(k)), (row, j, k)
+    for spec, row in zip(specs, rule_rows):
+        assert row.monoid() is spec.model
 
 
 def test_unknown_when_bounds_truncate_and_no_refuter():

@@ -35,7 +35,8 @@ def test_parse_word_grammar():
     assert parse_word("x10") == "x" * 10
 
 
-@pytest.mark.parametrize("bad", ["", "X", "x0", "2x", "x-1", "x2=", "a1b0"])
+@pytest.mark.parametrize("bad", ["", "X", "x0", "2x", "x-1", "x2=", "a1b0",
+                                 "x99999999999999999999"])
 def test_parse_word_rejects(bad):
     with pytest.raises(ParseError):
         parse_word(bad)
@@ -67,7 +68,8 @@ def test_identity_is_unordered():
 
 
 def test_parse_identity_rejects():
-    for bad in ("xy", "x=y=z", "=x", "x="):
+    # the last exponent is past int()'s digit limit
+    for bad in ("xy", "x=y=z", "=x", "x=", "x" + "9" * 5000 + "=y"):
         with pytest.raises(ParseError):
             parse_identity(bad)
 
