@@ -18,13 +18,13 @@ from .lazy import load_on_first_use
 # each submodule and the public names the package re-exports from it
 _PUBLIC = {
     "words": (
-        "ALPHABET", "Identity", "ParseError", "Substitution", "apply_substitution",
-        "content", "delete_letters", "embeds", "format_word", "initial_part", "occ",
-        "parse_identity", "parse_word", "reverse",
+        "ALPHABET", "Bounds", "Identity", "ParseError", "Substitution",
+        "apply_substitution", "content", "delete_letters", "embeds", "format_word",
+        "initial_part", "occ", "parse_identity", "parse_word", "reverse",
     ),
     "deduction": (
-        "NO", "UNKNOWN", "YES", "Bounds", "Derivation", "DerivationError",
-        "IdentitySystem", "RewriteStep", "SearchResult", "check_derivation", "derivable",
+        "NO", "UNKNOWN", "YES", "Derivation", "DerivationError", "IdentitySystem",
+        "RewriteStep", "SearchResult", "check_derivation", "derivable",
         "expand", "load_identity_system", "one_step_rewrites", "parse_identity_system",
         "system",
     ),

@@ -3,7 +3,15 @@
 Exit codes follow one convention across subcommands: 0 for yes/holds/pass,
 1 for no/fails, 2 for unknown within the configured bounds, 3 when a
 resource cap stops the computation, 64 for usage errors and 65 for
-unreadable or inconsistent input data.
+unreadable or inconsistent input data, a word longer than
+`words.MAX_WORD_LEN` letters included.
+
+The submodules are bound as the package binds them, executed on first use,
+so each command runs only the modules it reads: `preceq` runs `words`
+alone; `derive` and `check` run `words`, `deduction` and `varieties`, and
+`monoids` only when a verdict reads a table; `monoid` runs `words` and
+`monoids`; `lattice` runs `words` and `lattices`; `verify-paper` runs them
+all.  A command that fails also runs `monoids` to name its exceptions.
 """
 
 from __future__ import annotations
@@ -12,9 +20,8 @@ import argparse
 import os
 import sys
 
-from . import lattices, monoids, varieties, verify
-from .deduction import NO, YES, Bounds, Derivation, derivable, load_identity_system
-from .words import embeds, format_word, parse_identity, parse_word
+from . import deduction, lattices, monoids, varieties, verify
+from .words import Bounds, embeds, format_word, parse_identity, parse_word
 
 
 class _UsageError(Exception):
@@ -71,7 +78,7 @@ def _cmd_check(args) -> int:
     if isinstance(verdict.witness, dict):
         assign = ", ".join(f"{k} -> {v}" for k, v in sorted(verdict.witness.items()))
         print(f"  counterexample: {assign}")
-    elif isinstance(verdict.witness, Derivation):
+    elif isinstance(verdict.witness, deduction.Derivation):
         print("  derivation: " + " -> ".join(format_word(w)
                                              for w in verdict.witness.words))
     return {varieties.HOLDS: 0, varieties.FAILS: 1}.get(verdict.value, 2)
@@ -160,14 +167,14 @@ def _render_check(chk) -> str:
 
 def _cmd_derive(args) -> int:
     u, v = parse_word(args.lhs), parse_word(args.rhs)
-    sys_ = _resolve(args.system, _basis, load_identity_system, "variety")
-    res = derivable(u, v, sys_, args.max_len, args.max_depth)
-    if res.status == YES:
+    sys_ = _resolve(args.system, _basis, deduction.load_identity_system, "variety")
+    res = deduction.derivable(u, v, sys_, args.max_len, args.max_depth)
+    if res.status == deduction.YES:
         print(f"yes ({len(res.derivation)} steps, {res.explored} words explored)")
         for w in res.derivation.words:
             print("  " + format_word(w))
         return 0
-    if res.status == NO:
+    if res.status == deduction.NO:
         print(f"no-within-bounds ({res.explored} words explored;"
               " the rewrite closure is complete, so the words are not equivalent)")
         return 1

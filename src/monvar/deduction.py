@@ -5,6 +5,10 @@ system (either orientation) and a monoid endomorphism xi.  Derivability
 is searched breadth-first under explicit length and depth bounds, and
 the answer distinguishes an exhausted closure (a genuine "no" within the
 length bound) from a truncated one ("unknown").
+
+The limits record `Bounds` lives in `words`, beside the longest word a
+parse may build; it is re-exported here, and `derivable` takes its
+defaults from it.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ from functools import lru_cache
 
 from .words import (
     ALPHABET,
+    Bounds,
     Identity,
     ParseError,
     data_lines,
@@ -25,20 +30,6 @@ from .words import (
 YES = "yes"
 NO = "no-within-bounds"
 UNKNOWN = "unknown"
-
-
-@dataclass(frozen=True)
-class Bounds:
-    """Search limits; `derivable` and the CLI take their defaults from here."""
-
-    max_len: int = 24
-    max_depth: int = 48
-
-    def __post_init__(self):
-        for bound in ("max_len", "max_depth"):
-            value = getattr(self, bound)
-            if value < 0:
-                raise ValueError(f"{bound} must be at least 0, got {value}")
 
 
 class DerivationError(ValueError):

@@ -11,7 +11,9 @@ exhaustive model checking; the rest fall back to bounded deduction plus a
 fixed pool of five cyclic commutative monoids, those that satisfy the basis,
 which refute from occurrence counts too, answering unknown honestly when
 both are silent.  Word-level work, refutations included, never builds a
-table, so a deduction-only verdict never loads numpy.
+table.  The `monoids` module is bound as the package binds it, executed on
+first use, and only a table reads it, so a deduction-only verdict runs
+neither `monoids` nor numpy.
 """
 
 from __future__ import annotations
@@ -23,24 +25,9 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable
 
-from .deduction import (
-    NO,
-    UNKNOWN,
-    YES,
-    Bounds,
-    IdentitySystem,
-    derivable,
-    system,
-)
-from .monoids import (
-    FiniteMonoid,
-    SearchCapExceeded,
-    find_counterexample,
-    from_table,
-    monoid_index_period,
-    named_monoid,
-)
-from .words import Identity, initial_part, occ, parse_word
+from . import monoids
+from .deduction import NO, UNKNOWN, YES, IdentitySystem, derivable, system
+from .words import Bounds, Identity, initial_part, occ, parse_word
 
 HOLDS = "holds"
 FAILS = "fails"
@@ -68,7 +55,7 @@ class Verdict:
 class VarietySpec:
     name: str
     basis: IdentitySystem | None = None
-    model: FiniteMonoid | None = None
+    model: monoids.FiniteMonoid | None = None
     rule: str = RULE_DEDUCTION
     param: int | None = None
 
@@ -86,7 +73,7 @@ class VarietySpec:
                      if all(row.witness(ident) is None for ident in self.basis))
 
     @cached_property
-    def refutation_models(self) -> tuple[FiniteMonoid, ...]:
+    def refutation_models(self) -> tuple[monoids.FiniteMonoid, ...]:
         """Members of a deduction-only variety among a fixed pool of small
         monoids, for refuting identities; () under any other rule.  The
         tables are built when this is first read; decide_identity refutes
@@ -141,34 +128,36 @@ def enumerate_W(exponents=(2, 3)):
 
 @lru_cache(maxsize=None)
 def _semilattice_2():
-    return from_table(["1", "e"], [["1", "e"], ["e", "e"]], "1")
+    return monoids.from_table(["1", "e"], [["1", "e"], ["e", "e"]], "1")
 
 
 # the four identities that D2's basis shares with RvRop's
 _D2_RVROP_COMMON = ("x3yzt=yxzxtx", "xyzxty=yxzxty", "xzxyty=xzyxty", "xtyzxy=xtyzyx")
 
 
-def model_contains_basis(m: FiniteMonoid, basis: IdentitySystem) -> bool:
-    return all(find_counterexample(m, ident) is None for ident in basis)
+def model_contains_basis(m: monoids.FiniteMonoid, basis: IdentitySystem) -> bool:
+    return all(monoids.find_counterexample(m, ident) is None for ident in basis)
 
 
 # name -> the fixed entry's settings, built on the entry's first lookup
 _FIXED = {
-    "T": lambda: dict(basis=system("x=1"), model=named_monoid("group:1"), rule=RULE_MODEL),
+    "T": lambda: dict(basis=system("x=1"), model=monoids.named_monoid("group:1"),
+                      rule=RULE_MODEL),
     "SL": lambda: dict(basis=system("x2=x", "xy=yx"), model=_semilattice_2(), rule=RULE_SL),
     "COM": lambda: dict(basis=system("xy=yx"), rule=RULE_COM),
     "MON": lambda: dict(basis=IdentitySystem(frozenset(), "MON")),
     "D": lambda: dict(basis=system("x2=x3", "x2y=xyx", "xyx=yx2", name="D")),
     "D2": lambda: dict(basis=system("x3=x2", *_D2_RVROP_COMMON, name="D2"),
-                       model=named_monoid("D2"), rule=RULE_MODEL),
+                       model=monoids.named_monoid("D2"), rule=RULE_MODEL),
     "E": lambda: dict(basis=system("x2=x3", "x2y=xyx", "x2y2=y2x2", name="E")),
     "K": lambda: dict(basis=system(K_IDENTITY, name="K")),
-    "LRB": lambda: dict(basis=system("xy=xyx"), model=named_monoid("lrb:3"), rule=RULE_LRB),
+    "LRB": lambda: dict(basis=system("xy=xyx"), model=monoids.named_monoid("lrb:3"),
+                        rule=RULE_LRB),
     "Q": lambda: dict(basis=system("yxyzxy=yxzxyxz", name="Q")),
-    "R": lambda: dict(model=named_monoid("R"), rule=RULE_MODEL),
-    "Rop": lambda: dict(model=named_monoid("Rop"), rule=RULE_MODEL),
+    "R": lambda: dict(model=monoids.named_monoid("R"), rule=RULE_MODEL),
+    "Rop": lambda: dict(model=monoids.named_monoid("Rop"), rule=RULE_MODEL),
     "RvRop": lambda: dict(basis=system("x4=x3", *_D2_RVROP_COMMON, name="RvRop"),
-                          model=named_monoid("RxRop"), rule=RULE_MODEL),
+                          model=monoids.named_monoid("RxRop"), rule=RULE_MODEL),
 }
 
 
@@ -182,7 +171,7 @@ def variety_C(n: int) -> VarietySpec:
     if n < 2:
         raise ValueError("variety_C needs n >= 2")
     basis = system(f"x{n}=x{n + 1}", "xy=yx", name=f"C{n}")
-    return VarietySpec(f"C{n}", basis=basis, model=named_monoid(f"counter:{n}"),
+    return VarietySpec(f"C{n}", basis=basis, model=monoids.named_monoid(f"counter:{n}"),
                        rule=RULE_CN, param=n)
 
 
@@ -197,7 +186,7 @@ def variety_A(m: int) -> VarietySpec:
     if m < 1:
         raise ValueError("variety_A needs m >= 1")
     basis = system("xy=yx", Identity("x" * m, ""), name=f"A{m}")
-    return VarietySpec(f"A{m}", basis=basis, model=named_monoid(f"group:{m}"),
+    return VarietySpec(f"A{m}", basis=basis, model=monoids.named_monoid(f"group:{m}"),
                        rule=RULE_AM, param=m)
 
 
@@ -265,7 +254,7 @@ class _Cyclic:
     power: Callable[[int], int]
     order: int
     generator: str
-    monoid: Callable[[], FiniteMonoid]
+    monoid: Callable[[], monoids.FiniteMonoid]
 
     def witness(self, ident: Identity) -> dict[str, str] | None:
         """The violating assignment that sends one letter c to the generator
@@ -284,12 +273,13 @@ class _Cyclic:
 
 def _counter(n: int) -> _Cyclic:
     """counter:n, 1, a, ..., a^(n-1), 0: the count capped at n."""
-    return _Cyclic(lambda k: min(k, n), n + 1, "a", lambda: named_monoid(f"counter:{n}"))
+    return _Cyclic(lambda k: min(k, n), n + 1, "a",
+                   lambda: monoids.named_monoid(f"counter:{n}"))
 
 
 def _group(m: int) -> _Cyclic:
     """group:m, 1, g, ..., g^(m-1): the count mod m."""
-    return _Cyclic(lambda k: k % m, m, "g", lambda: named_monoid(f"group:{m}"))
+    return _Cyclic(lambda k: k % m, m, "g", lambda: monoids.named_monoid(f"group:{m}"))
 
 
 _SEMILATTICE = _Cyclic(lambda k: min(k, 1), 2, "e", _semilattice_2)
@@ -337,8 +327,8 @@ def decide_identity(v: VarietySpec, ident: Identity,
         bad = next((c for c in sorted(ident.letters()) if occ(lhs, c) != occ(rhs, c)), None)
         if v.rule == RULE_LRB:
             try:
-                witness = find_counterexample(v.model, ident)
-            except SearchCapExceeded:  # the rule has decided
+                witness = monoids.find_counterexample(v.model, ident)
+            except monoids.SearchCapExceeded:  # the rule has decided
                 witness = None
         else:  # COM has no model: a counter that counts past bad's occurrences
             p = max(occ(lhs, bad), occ(rhs, bad)) + 1 if v.rule == RULE_COM else v.param
@@ -347,7 +337,7 @@ def decide_identity(v: VarietySpec, ident: Identity,
                        reason=differ.format(l=l, r=r, p=v.param, bad=bad))
 
     if v.rule == RULE_MODEL:
-        cx = find_counterexample(v.model, ident)
+        cx = monoids.find_counterexample(v.model, ident)
         if cx is None:
             return Verdict(HOLDS, reason=f"holds in the generating monoid of order {len(v.model)}")
         return Verdict(FAILS, witness=cx, reason="fails in the generating monoid")
@@ -380,4 +370,4 @@ def is_isoterm_power(v: VarietySpec, n: int) -> bool:
     violates x^n = x^(n+m) for every positive m."""
     if v.model is None:
         raise ValueError(f"variety {v.name} has no registered generating monoid")
-    return monoid_index_period(v.model).index > n
+    return monoids.monoid_index_period(v.model).index > n

@@ -1,17 +1,24 @@
-"""Free-monoid word algebra.
+"""Free-monoid word algebra and the limits of the word-level work.
 
 Words are plain Python strings over the lowercase alphabet; the empty
 string is the identity of concatenation.  The text form used everywhere
 groups maximal runs of a letter as letter+exponent ("xxxy" prints as
-"x3y") and writes the empty word as "1".
+"x3y") and writes the empty word as "1".  `parse_word` refuses a word
+longer than `MAX_WORD_LEN` before it builds it.
+
+`Bounds`, the search limits that `deduction` and the CLI read their
+defaults from, lives here beside `MAX_WORD_LEN`, so every limit a word
+meets is stated in one module.  This module runs nothing beyond `re` and
+the interpreter's own start-up modules (no `dataclasses`), so a command
+that only compares words, such as `monvar preceq`, runs this module alone.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
+import sys
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 
 ALPHABET = "abcdefghijklmnopqrstuvwxyz"
@@ -19,6 +26,50 @@ ALPHABET = "abcdefghijklmnopqrstuvwxyz"
 
 class ParseError(ValueError):
     """Text does not match the word/identity/file grammar."""
+
+
+class _Frozen:
+    """Instances whose attributes are set once, by __init__."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+# ---------------------------------------------------------------------------
+# limits
+
+# the longest word parse_word builds (2^20 letters); no search bound comes
+# near it, so a longer word could only be compared, never searched
+MAX_WORD_LEN = 1 << 20
+
+
+class Bounds(_Frozen):
+    """Search limits; `derivable` and the CLI take their defaults from here."""
+
+    max_len = 24
+    max_depth = 48
+
+    def __init__(self, max_len: int = max_len, max_depth: int = max_depth):
+        for bound, value in (("max_len", max_len), ("max_depth", max_depth)):
+            if value < 0:
+                raise ValueError(f"{bound} must be at least 0, got {value}")
+            object.__setattr__(self, bound, value)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.max_len, self.max_depth) == (other.max_len, other.max_depth)
+
+    def __hash__(self):
+        return hash((self.max_len, self.max_depth))
+
+    def __repr__(self):
+        return f"Bounds(max_len={self.max_len!r}, max_depth={self.max_depth!r})"
 
 
 def data_lines(text: str):
@@ -36,30 +87,38 @@ _TERM = re.compile(r"([a-z])([0-9]*)")
 
 
 def parse_word(text: str) -> str:
-    """Parse the exponent-grouped text form; "1" denotes the empty word."""
+    """Parse the exponent-grouped text form; "1" denotes the empty word.
+
+    The term lengths are summed before the word is built, so a word longer
+    than MAX_WORD_LEN raises ParseError without taking its memory."""
     s = "".join(text.split())
     if s == "1":
         return ""
     if not s:
         raise ParseError("empty word text (write '1' for the empty word)")
-    out = []
-    pos = 0
+    terms = []
+    pos = length = 0
     for m in _TERM.finditer(s):
         if m.start() != pos:
             break
         pos = m.end()
         letter, digits = m.group(1), m.group(2)
-        try:  # past int()'s digit limit or the index size; below, memory may still run out
+        try:
             exp = int(digits) if digits else 1
-            term = letter * exp
-        except (ValueError, OverflowError):
-            raise ParseError(f"exponent too large in {m.group(0)!r}") from None
+        except ValueError:  # past int()'s digit limit
+            exp = sys.maxsize + 1
+        if exp > sys.maxsize:  # no string index reaches it
+            raise ParseError(f"exponent too large in {m.group(0)!r}")
         if exp < 1:
             raise ParseError(f"exponent must be positive in {m.group(0)!r}")
-        out.append(term)
+        length += exp
+        if length > MAX_WORD_LEN:
+            raise ParseError(f"word longer than MAX_WORD_LEN = {MAX_WORD_LEN} letters"
+                             f" at {m.group(0)!r}")
+        terms.append(letter * exp)
     if pos != len(s):
         raise ParseError(f"cannot parse word text {text!r} at {s[pos:]!r}")
-    return "".join(out)
+    return "".join(terms)
 
 
 def format_word(word: str) -> str:
@@ -77,12 +136,12 @@ def format_word(word: str) -> str:
 # identities and substitutions
 
 
-@dataclass(frozen=True, eq=False)
-class Identity:
+class Identity(_Frozen):
     """An unordered pair of words: u = v and v = u are the same identity."""
 
-    lhs: str
-    rhs: str
+    def __init__(self, lhs: str, rhs: str):
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
 
     def __eq__(self, other):
         if not isinstance(other, Identity):
@@ -113,11 +172,23 @@ def parse_identity(text: str) -> Identity:
     return Identity(parse_word(lhs), parse_word(rhs))
 
 
-@dataclass
 class Substitution:
-    """Letter-to-word map extending to an endomorphism; unmapped letters fix."""
+    """Letter-to-word map extending to an endomorphism; unmapped letters fix.
 
-    mapping: dict[str, str]
+    Equal maps are equal substitutions; being mutable, none is hashable."""
+
+    def __init__(self, mapping: dict[str, str]):
+        self.mapping = mapping
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.mapping == other.mapping
+
+    __hash__ = None
+
+    def __repr__(self):
+        return f"Substitution(mapping={self.mapping!r})"
 
     def image(self, letter: str) -> str:
         return self.mapping.get(letter, letter)

@@ -180,10 +180,26 @@ def test_derive_from_a_model_defined_variety_exits_65(capsys):
     assert err == "error: variety R is model-defined and has no identity basis to derive from\n"
 
 
-def test_running_out_of_memory_exits_3(capsys):
-    code, out, err = run(capsys, "check", "COM", "x999999999999999=1")
+def test_running_out_of_memory_exits_3(capsys, monkeypatch):
+    def exhausted(*args):
+        raise MemoryError
+    monkeypatch.setattr(monvar.varieties, "decide_identity", exhausted)
+    code, out, err = run(capsys, "check", "COM", "x2=1")
     assert code == 3 and not out
     assert err == "resource limit: out of memory\n"
+
+
+@pytest.mark.parametrize("argv, term", [
+    (["check", "COM", "x999999999999999=1"], "x999999999999999"),
+    (["check", "D", "x999999999=y"], "x999999999"),
+    (["preceq", "x99999999", "y"], "x99999999"),
+    # the terms' lengths are summed: each half fits, the word does not
+    (["preceq", "x", "y524288x524288y"], "y"),
+])
+def test_words_past_the_length_limit_exit_65_before_they_are_built(capsys, argv, term):
+    code, out, err = run(capsys, *argv)
+    assert code == 65 and not out
+    assert err == f"error: word longer than MAX_WORD_LEN = 1048576 letters at {term!r}\n"
 
 
 def test_preceq(capsys):
@@ -427,25 +443,35 @@ def test_only_table_commands_execute_numpy(argv, loads_numpy):
 # bench/spans.py Tracer.install reads sys.modules["monvar.<module>"] for each
 # traced module, so importing the package registers all six; their code runs
 # only when a command reads them.  A module not yet executed still has the
-# lazy loader's own type, and reading its type does not load it.
+# lazy loader's own type, and reading its type does not load it.  The script
+# prints the exit code, whether the command imported dataclasses (a site
+# hook may have imported it before monvar), and each module that ran.
 _CONTRACT = """
 import sys, types
 SUBMODULES = ("words", "deduction", "monoids", "varieties", "lattices", "verify")
 def ran(name):
-    return type(sys.modules[name]) is types.ModuleType
+    return type(sys.modules.get(name)) is types.ModuleType
+had_dataclasses = "dataclasses" in sys.modules
 import monvar
 assert all("monvar." + m in sys.modules for m in SUBMODULES)
 assert not any(ran("monvar." + m) for m in SUBMODULES)
 from monvar.cli import main
 code = main(sys.argv[1:])
-print(code, *[m for m in SUBMODULES if ran("monvar." + m)], ran("numpy"))
+print(code, "dataclasses" in sys.modules and not had_dataclasses,
+      *[m for m in SUBMODULES if ran("monvar." + m)], *(["numpy"] if ran("numpy") else []))
 """
 
 
+# every command runs words, and nothing outside the modules it may run
 @pytest.mark.parametrize("argv, code, may_run", [
-    (["preceq", "xy", "yx"], 0, set()),
+    (["preceq", "xy", "yx"], 0, {"words"}),
     # a failure may run monoids to name its exception, but no numpy
-    (["preceq", "x0", "y"], 65, {"monoids"}),
+    (["preceq", "x0", "y"], 65, {"words", "monoids"}),
+    (["monoid", "info", "D2"], 0, {"words", "monoids", "numpy"}),
+    (["lattice", "fig2"], 0, {"words", "lattices", "numpy"}),
+    (["derive", "x3y", "x4y", "--system", "D", "--max-len", "7", "--max-depth", "4"], 0,
+     {"words", "deduction", "varieties"}),
+    (["check", "Q", "y3=x"], 1, {"words", "deduction", "varieties"}),
 ])
 def test_import_registers_every_submodule_and_preceq_runs_only_the_word_ones(
         argv, code, may_run):
@@ -455,5 +481,7 @@ def test_import_registers_every_submodule_and_preceq_runs_only_the_word_ones(
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     printed = done.stdout.splitlines()[-1].split()
-    assert printed[0] == str(code) and printed[-1] == "False"
-    assert {"words", "deduction"} <= set(printed[1:-1]) <= {"words", "deduction", *may_run}
+    assert printed[0] == str(code)
+    assert "words" in printed[2:] and set(printed[2:]) <= may_run
+    if may_run == {"words"}:  # the word layer alone imports no dataclasses
+        assert printed[1] == "False"

@@ -10,7 +10,7 @@ import pytest
 
 import monvar
 from monvar import cli
-from monvar.deduction import Bounds
+from monvar.words import Bounds
 from monvar.lattices import FiniteLattice, named_lattice
 from monvar.monoids import FiniteMonoid, named_monoid
 
@@ -37,10 +37,10 @@ def test_no_module_imports_a_private_name_from_another():
 
 # the package's public names, by the submodule that defines each
 _PUBLIC = {
-    "words": "ALPHABET Identity ParseError Substitution apply_substitution content"
+    "words": "ALPHABET Bounds Identity ParseError Substitution apply_substitution content"
              " delete_letters embeds format_word initial_part occ parse_identity parse_word"
              " reverse",
-    "deduction": "NO UNKNOWN YES Bounds Derivation DerivationError IdentitySystem RewriteStep"
+    "deduction": "NO UNKNOWN YES Derivation DerivationError IdentitySystem RewriteStep"
                  " SearchResult check_derivation derivable expand load_identity_system"
                  " one_step_rewrites parse_identity_system system",
     "monoids": "FiniteMonoid IndexPeriod InvalidTable LikelyInfinite Presentation"
@@ -121,7 +121,17 @@ def _option(parser, dest):
 
 def test_bound_defaults_come_from_bounds():
     defaults = Bounds()
-    assert monvar.Bounds is Bounds and monvar.varieties.Bounds is Bounds
+    assert monvar.Bounds is monvar.words.Bounds is monvar.deduction.Bounds \
+        is monvar.varieties.Bounds
+    assert repr(defaults) == "Bounds(max_len=24, max_depth=48)"
+    assert (Bounds.max_len, Bounds.max_depth) == (24, 48)
+    # frozen, and equal and hashable by value
+    assert Bounds(24, 48) == defaults and hash(Bounds(max_len=24)) == hash(defaults)
+    assert len({Bounds(7, 10), Bounds(7, 10), defaults}) == 2
+    assert Bounds(7, 10) != (7, 10)
+    with pytest.raises(AttributeError, match="cannot assign to field 'max_len'"):
+        defaults.max_len = 7
+    assert defaults.max_len == 24
     params = inspect.signature(monvar.derivable).parameters
     assert params["max_len"].default == defaults.max_len
     assert params["max_depth"].default == defaults.max_depth

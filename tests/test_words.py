@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from monvar.varieties import K_LHS, K_RHS, enumerate_W
 from monvar.words import (
+    MAX_WORD_LEN,
+    Identity,
     ParseError,
     Substitution,
     apply_substitution,
@@ -33,10 +35,14 @@ def test_parse_word_grammar():
     assert parse_word("y2xt2z2y2t2xz2") == P
     assert parse_word(" x 2 y ") == "xxy"
     assert parse_word("x10") == "x" * 10
+    # words up to the length limit parse, however their terms split it
+    assert parse_word(f"x{MAX_WORD_LEN}") == "x" * MAX_WORD_LEN
+    assert len(parse_word(f"x{MAX_WORD_LEN // 2 - 1}yx{MAX_WORD_LEN // 2}")) == MAX_WORD_LEN
 
 
 @pytest.mark.parametrize("bad", ["", "X", "x0", "2x", "x-1", "x2=", "a1b0",
-                                 "x99999999999999999999"])
+                                 "x99999999999999999999", f"x{MAX_WORD_LEN + 1}",
+                                 f"x{MAX_WORD_LEN}y", "x999999999999999"])
 def test_parse_word_rejects(bad):
     with pytest.raises(ParseError):
         parse_word(bad)
@@ -65,6 +71,14 @@ def test_identity_is_unordered():
     assert not a.trivial
     assert a.letters() == {"x", "y"}
     assert str(parse_identity("xx=xxx")) in ("x2=x3", "x3=x2")
+    assert repr(Identity("xx", "y")) == "Identity('x2', 'y')"
+    assert Identity(lhs="y", rhs="xx") == Identity("xx", "y")
+    assert a != "x2y=yx2" and a.__eq__("x2y=yx2") is NotImplemented
+    with pytest.raises(AttributeError, match="cannot assign to field 'lhs'"):
+        a.lhs = "x"
+    with pytest.raises(AttributeError):
+        del a.rhs
+    assert a.lhs == "xxy"
 
 
 def test_parse_identity_rejects():
@@ -110,6 +124,15 @@ def test_substitution_application():
     assert apply_substitution(xi, "xxxyz") == "xxx"
     # unmapped letters stay themselves
     assert apply_substitution(Substitution({}), "xyz") == "xyz"
+    # a mutable map: equal by value, unhashable
+    xi = Substitution({"x": "ab", "y": ""})
+    assert repr(xi) == "Substitution(mapping={'x': 'ab', 'y': ''})"
+    assert xi == Substitution(mapping={"x": "ab", "y": ""}) != Substitution({"x": "ab"})
+    assert xi != {"x": "ab", "y": ""}
+    with pytest.raises(TypeError):
+        hash(xi)
+    xi.mapping["z"] = "c"
+    assert xi("xz") == "abc"
 
 
 def test_substitution_is_homomorphism():
