@@ -8,21 +8,23 @@ length bound) from a truncated one ("unknown").
 
 The limits record `Bounds` lives in `words`, beside the longest word a
 parse may build; it is re-exported here, and `derivable` takes its
-defaults from it.
+defaults from it.  The matches of each identity side against each window
+are kept in one memo of at most `words.MATCH_MEMO_CAP` windows.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .words import (
     ALPHABET,
+    MATCH_MEMO_CAP,
     Bounds,
     Identity,
     ParseError,
     data_lines,
+    feasible_lengths,
     match_substitutions,
     parse_identity,
 )
@@ -170,23 +172,53 @@ def check_derivation(deriv: Derivation, sys: IdentitySystem, strict: bool = Fals
 # one-step rewriting
 
 
-@lru_cache(maxsize=None)
+class _MatchMemo:
+    """The matches of each oriented rule's pattern, by window, under a cap.
+
+    A window's value is `_matches`'s: one tuple of sorted (letter, image)
+    pairs per match.  Every distinct image, pair, match and value is stored
+    once, through the one table `shared`, so the many windows with equal
+    matches hold references, not copies.  A window past MATCH_MEMO_CAP
+    empties the memo and the table before it is stored."""
+
+    def __init__(self):
+        self.rules: dict[str, dict[str, tuple]] = {}  # pattern -> window -> value
+        self.shared: dict = {}
+        self.size = 0  # windows held, over every pattern
+
+    def rule(self, pattern: str) -> dict[str, tuple]:
+        """The windows of one pattern; read it, and on a miss `fill` it."""
+        return self.rules.setdefault(pattern, {})
+
+    def fill(self, memo: dict[str, tuple], pattern: str, window: str) -> tuple:
+        """Match `pattern` against `window` and store the value in `memo`."""
+        if self.size >= MATCH_MEMO_CAP:
+            self.clear()
+        share = self.shared.setdefault
+        value = tuple(
+            share(match, match) for match in (
+                tuple(share(pair, pair) for pair in
+                      ((c, share(img, img)) for c, img in sorted(m.items())))
+                for m in match_substitutions(pattern, window, allow_empty=True)))
+        memo[window] = value = share(value, value)
+        self.size += 1
+        return value
+
+    def clear(self):
+        for memo in self.rules.values():
+            memo.clear()  # in place: expand may hold one of them
+        self.shared.clear()
+        self.size = 0
+
+
+_MEMO = _MatchMemo()
+
+
 def _matches(pattern: str, window: str) -> tuple:
     """All endomorphism restrictions (sorted item tuples) with image == window."""
-    return tuple(
-        tuple(sorted(m.items()))
-        for m in match_substitutions(pattern, window, allow_empty=True)
-    )
-
-
-@lru_cache(maxsize=None)
-def _feasible_lengths(occs: tuple[int, ...], up_to: int) -> frozenset[int]:
-    """Window lengths expressible as a nonnegative combination of occs."""
-    feasible = {0}
-    for n in range(1, up_to + 1):
-        if any(n - o in feasible for o in occs if o <= n):
-            feasible.add(n)
-    return frozenset(feasible)
+    memo = _MEMO.rule(pattern)
+    value = memo.get(window)
+    return _MEMO.fill(memo, pattern, window) if value is None else value
 
 
 def _fresh_images(fresh: tuple[str, ...], counts: dict, budget: int):
@@ -221,7 +253,8 @@ def expand(word: str, sys: IdentitySystem, max_len: int):
             s, t = (ident.rhs, ident.lhs) if flipped else (ident.lhs, ident.rhs)
             s_letters = set(s)
             occs = tuple(sorted({s.count(c) for c in s_letters})) or (1,)
-            lengths = _feasible_lengths(occs, n)
+            lengths = feasible_lengths(occs, n)
+            memo = _MEMO.rule(s)
             shared = sorted(s_letters & set(t))
             fresh = tuple(sorted(set(t) - s_letters))
             counts = {c: t.count(c) for c in fresh}
@@ -232,7 +265,11 @@ def expand(word: str, sys: IdentitySystem, max_len: int):
                 for j in range(i, n + 1):
                     if j - i not in lengths:
                         continue
-                    for items in _matches(s, word[i:j]):
+                    window = word[i:j]
+                    found = memo.get(window)
+                    if found is None:
+                        found = _MEMO.fill(memo, s, window)
+                    for items in found:
                         images = dict(items)
                         base = (n - (j - i)) + sum(
                             t.count(c) * len(images[c]) for c in shared

@@ -308,15 +308,36 @@ def _cayley_table(right: np.ndarray, reached_by) -> np.ndarray:
     right[i, k] is element i times generator k; reached_by[j - 1] = (i, k)
     says that element j is element i < j times generator k.  Element 0 is
     the identity.  A last element that reached_by does not list is the zero,
-    and right must send it to itself.  The table is built in index_dtype(n)."""
+    and right must send it to itself.  The table is built in index_dtype(n),
+    column by column, and then transposed in place, so it exists once."""
     n = len(right)
     dtype = index_dtype(n)
     action = np.ascontiguousarray(right.T, dtype=dtype)
-    cols = np.full((n, n), n - 1, dtype=dtype)
-    cols[0] = np.arange(n)
+    table = np.full((n, n), n - 1, dtype=dtype)
+    table[0] = np.arange(n)
     for j, (i, k) in enumerate(reached_by, 1):
-        cols[j] = action[k][cols[i]]  # x * elem_j = (x * elem_i) * gen_k
-    return np.ascontiguousarray(cols.T)
+        table[j] = action[k][table[i]]  # x * elem_j = (x * elem_i) * gen_k
+    _transpose_in_place(table)
+    return table
+
+
+# the side of the blocks a square table is transposed by: one block of
+# 2^20 cells at most is copied at a time, and a table of up to 1024
+# elements is a single block
+_BLOCK = 1 << 10
+
+
+def _transpose_in_place(a: np.ndarray) -> None:
+    """Transpose the square array a, swapping one pair of blocks at a time."""
+    n = len(a)
+    for i in range(0, n, _BLOCK):
+        diagonal = a[i:i + _BLOCK, i:i + _BLOCK]
+        diagonal[...] = diagonal.T.copy()
+        for j in range(i + _BLOCK, n, _BLOCK):
+            upper, lower = a[i:i + _BLOCK, j:j + _BLOCK], a[j:j + _BLOCK, i:i + _BLOCK]
+            held = upper.T.copy()
+            upper[...] = lower.T
+            lower[...] = held
 
 
 def direct_product(m: FiniteMonoid, n: FiniteMonoid) -> FiniteMonoid:

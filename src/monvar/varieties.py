@@ -185,7 +185,8 @@ def variety_A(m: int) -> VarietySpec:
     """Abelian groups of exponent m (as monoids)."""
     if m < 1:
         raise ValueError("variety_A needs m >= 1")
-    basis = system("xy=yx", Identity("x" * m, ""), name=f"A{m}")
+    # parsed, so an x^m past MAX_WORD_LEN is refused before group:m is built
+    basis = system("xy=yx", f"x{m}=1", name=f"A{m}")
     return VarietySpec(f"A{m}", basis=basis, model=monoids.named_monoid(f"group:{m}"),
                        rule=RULE_AM, param=m)
 
@@ -194,10 +195,8 @@ def variety_Z(n: int, v: str) -> VarietySpec:
     """Two-identity stabilizer family: x^(n+1)=x^(n+2) and x^n v = x^(n+1) v."""
     if n < 1:
         raise ValueError("variety_Z needs n >= 1")
-    basis = IdentitySystem(frozenset([
-        Identity("x" * (n + 1), "x" * (n + 2)),
-        Identity("x" * n + v, "x" * (n + 1) + v),
-    ]), name=f"Z:{n}:{v}")
+    xs = parse_word(f"x{n + 2}")  # parsed, so refused past MAX_WORD_LEN
+    basis = system(Identity(xs[1:], xs), Identity(xs[2:] + v, xs[1:] + v), name=f"Z:{n}:{v}")
     return VarietySpec(f"Z:{n}:{v}", basis=basis, param=n)
 
 

@@ -7,10 +7,11 @@ groups maximal runs of a letter as letter+exponent ("xxxy" prints as
 longer than `MAX_WORD_LEN` before it builds it.
 
 `Bounds`, the search limits that `deduction` and the CLI read their
-defaults from, lives here beside `MAX_WORD_LEN`, so every limit a word
-meets is stated in one module.  This module runs nothing beyond `re` and
-the interpreter's own start-up modules (no `dataclasses`), so a command
-that only compares words, such as `monvar preceq`, runs this module alone.
+defaults from, lives here beside `MAX_WORD_LEN` and `MATCH_MEMO_CAP`, the
+cap of deduction's match memo, so every limit a word meets is stated in
+one module.  This module runs nothing beyond `re` and the interpreter's
+own start-up modules (no `dataclasses`), so a command that only compares
+words, such as `monvar preceq`, runs this module alone.
 """
 
 from __future__ import annotations
@@ -46,6 +47,11 @@ class _Frozen:
 # the longest word parse_word builds (2^20 letters); no search bound comes
 # near it, so a longer word could only be compared, never searched
 MAX_WORD_LEN = 1 << 20
+
+# the most windows that deduction's match memo holds (2^15); one more empties
+# it.  The 24 rounds of the benchmark's deduce stream fill about 18 000, a
+# long derivation search more
+MATCH_MEMO_CAP = 1 << 15
 
 
 class Bounds(_Frozen):
@@ -232,14 +238,33 @@ def reverse(word: str) -> str:
 
 
 @lru_cache(maxsize=512)
-def _compile(pattern: str) -> tuple:
-    """Per position of `pattern`: (letter, count, earlier, later).
+def feasible_lengths(occs: tuple[int, ...], up_to: int) -> frozenset[int]:
+    """The numbers from 0 to up_to that are sums of members of occs.
 
-    At a repeated letter count is 0: its image is already fixed.  At a
-    letter's first occurrence, count is its number of occurrences in the
-    suffix from there, earlier holds the (letter, count) pairs of the suffix's
-    letters introduced before it, in first-occurrence order, and later is the
-    number of suffix occurrences of letters introduced after it."""
+    A substitution that sends a pattern to a word puts k copies of a letter's
+    image into the word for each pattern letter with k occurrences.  So, with
+    occs the pattern's occurrence counts, the word's length and the number of
+    times any one letter occurs in it are such sums."""
+    feasible = {0}
+    for n in range(1, up_to + 1):
+        if any(n - o in feasible for o in occs if o <= n):
+            feasible.add(n)
+    return frozenset(feasible)
+
+
+@lru_cache(maxsize=512)
+def _compile(pattern: str) -> tuple:
+    """The steps of `pattern` for the matcher, and its letter-count test.
+
+    Per position, a step is (letter, count, earlier, later).  At a repeated
+    letter count is 0: its image is already fixed.  At a letter's first
+    occurrence, count is its number of occurrences in the suffix from there,
+    earlier holds the (letter, count) pairs of the suffix's letters introduced
+    before it, in first-occurrence order, and later is the number of suffix
+    occurrences of letters introduced after it.
+
+    The test is the sorted occurrence counts of the pattern's letters, or ()
+    when some letter occurs once, since every count is then a sum of them."""
     first = {}
     for i, c in enumerate(pattern):
         first.setdefault(c, i)
@@ -252,7 +277,8 @@ def _compile(pattern: str) -> tuple:
         earlier = tuple((d, k) for d, k in counts.items() if first[d] < i)
         later = sum(k for d, k in counts.items() if first[d] > i)
         steps.append((c, counts[c], earlier, later))
-    return tuple(steps)
+    occs = sorted(set(Counter(pattern).values()))
+    return tuple(steps), tuple(occs) if occs[:1] != [1] else ()
 
 
 def match_substitutions(pattern: str, window: str, allow_empty: bool = False):
@@ -268,13 +294,21 @@ def match_substitutions(pattern: str, window: str, allow_empty: bool = False):
     the pattern never needs more than what is left of the window.  The last
     letter to appear has its length forced by that room, after which the
     rest of the pattern spells out exactly the rest of the window.
+
+    Before that, each letter of the window must occur a number of times that
+    is a sum of the pattern's occurrence counts (see feasible_lengths), or
+    nothing matches.  The sums are read up to the next power of two above the
+    window's length, so long windows share a few cached sets.
     """
     if not pattern:
         if not window:
             yield {}
         return
     lo = 0 if allow_empty else 1
-    steps = _compile(pattern)
+    steps, occs = _compile(pattern)
+    if occs and not feasible_lengths(occs, 1 << len(window).bit_length()).issuperset(
+            map(window.count, set(window))):
+        return
     n, end = len(pattern), len(window)
     assign = {}
     choices = []  # [position, window index, image length, longest length]

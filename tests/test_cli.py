@@ -195,6 +195,9 @@ def test_running_out_of_memory_exits_3(capsys, monkeypatch):
     (["preceq", "x99999999", "y"], "x99999999"),
     # the terms' lengths are summed: each half fits, the word does not
     (["preceq", "x", "y524288x524288y"], "y"),
+    # family parameters are word lengths too: x^m of A<m>, x^(n+2) of Z:<n>:<v>
+    (["check", "A999999999", "x=x"], "x999999999"),
+    (["check", "Z:999999999:y", "x=y"], "x1000000001"),
 ])
 def test_words_past_the_length_limit_exit_65_before_they_are_built(capsys, argv, term):
     code, out, err = run(capsys, *argv)

@@ -1,11 +1,13 @@
 """Rewriting and bounded derivability."""
 
+import itertools
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from monvar import deduction
 from monvar.deduction import (
     NO,
     UNKNOWN,
@@ -14,7 +16,6 @@ from monvar.deduction import (
     Derivation,
     DerivationError,
     RewriteStep,
-    _feasible_lengths,
     _fresh_images,
     _matches,
     check_derivation,
@@ -25,8 +26,14 @@ from monvar.deduction import (
     parse_identity_system,
     system,
 )
-from monvar.varieties import catalog, lookup
-from monvar.words import ParseError, parse_identity, parse_word
+from monvar.varieties import catalog, enumerate_W, lookup
+from monvar.words import (
+    ParseError,
+    feasible_lengths,
+    match_substitutions,
+    parse_identity,
+    parse_word,
+)
 
 SIGMA = system("x3yz=yxzx")
 
@@ -77,7 +84,8 @@ def test_one_step_rewrites_frozen():
 
 def _two_branch_expand(word, sys, max_len):
     """`expand` as it was with separate loops for identity sides with and
-    without fresh letters, kept verbatim as the oracle."""
+    without fresh letters, kept as the oracle; it matches every window
+    afresh, so it reads no memo."""
     targets: dict[str, RewriteStep] = {}
     truncated = False
     n = len(word)
@@ -88,7 +96,7 @@ def _two_branch_expand(word, sys, max_len):
             s, t = (ident.rhs, ident.lhs) if flipped else (ident.lhs, ident.rhs)
             s_letters = set(s)
             occs = tuple(sorted({s.count(c) for c in s_letters})) or (1,)
-            lengths = _feasible_lengths(occs, n)
+            lengths = feasible_lengths(occs, n)
             shared = sorted(s_letters & set(t))
             fresh = tuple(sorted(set(t) - s_letters))
             counts = {c: t.count(c) for c in fresh}
@@ -96,7 +104,8 @@ def _two_branch_expand(word, sys, max_len):
                 for j in range(i, n + 1):
                     if j - i not in lengths:
                         continue
-                    for items in _matches(s, word[i:j]):
+                    for m in match_substitutions(s, word[i:j], allow_empty=True):
+                        items = tuple(sorted(m.items()))
                         images = dict(items)
                         base = (n - (j - i)) + sum(
                             t.count(c) * len(images[c]) for c in shared
@@ -145,6 +154,68 @@ def test_expand_matches_the_two_branch_oracle(sys_, word, data):
     old, old_cut = _two_branch_expand(word, sys_, max_len)
     assert _fields(new) == _fields(old)
     assert new_cut == old_cut
+
+
+def _memo_size():
+    memo = deduction._MEMO
+    assert sum(len(windows) for windows in memo.rules.values()) == memo.size
+    return memo.size
+
+
+def test_match_memo_holds_the_matchers_maps_and_stores_each_part_once():
+    deduction._MEMO.clear()
+    windows = ["".join(w) for n in range(6) for w in itertools.product("ab", repeat=n)]
+    parts = {}
+    for pattern in ("xx", "xyx", "x2y", "xyyx", "", "yxxy"):
+        for window in windows:
+            value = _matches(pattern, window)
+            assert value == tuple(tuple(sorted(m.items())) for m in
+                                  match_substitutions(pattern, window, allow_empty=True))
+            assert _matches(pattern, window) is value
+            # every equal image, pair, match and value is one object
+            for part in (value, *value, *(p for m in value for p in m),
+                         *(p[1] for m in value for p in m)):
+                assert parts.setdefault(part, part) is part
+    assert _memo_size() == 6 * len(windows)
+
+
+def _expand_cases():
+    rng = random.Random(2024)
+    cases = []
+    for name in ("D", "E", "Q", "B2", "Z:1:y"):
+        for _ in range(6):
+            word = "".join(rng.choice("xyz") for _ in range(rng.randrange(2, 8)))
+            cases.append((word, lookup(name).basis, len(word) + rng.randrange(3)))
+    cases.append((max(enumerate_W((2,)), key=len), lookup("K").basis, 24))
+    return cases
+
+
+def test_expand_is_the_same_with_a_cold_a_warm_and_an_overflowing_memo(monkeypatch):
+    cases = _expand_cases()
+
+    def run():
+        return [(_fields(t), cut) for t, cut in (expand(*case) for case in cases)]
+
+    memo = deduction._MEMO
+    memo.clear()
+    cold = run()
+    held = _memo_size()
+    assert 16 < held <= deduction.MATCH_MEMO_CAP
+    assert run() == cold and _memo_size() == held  # warm: every window a hit
+    monkeypatch.setattr(deduction, "MATCH_MEMO_CAP", 16)
+    fill, fills = deduction._MatchMemo.fill, []
+
+    def checked_fill(self, *args):
+        fills.append(args)
+        value = fill(self, *args)
+        assert 1 <= _memo_size() <= 16 and len(memo.shared) > 0
+        return value
+
+    monkeypatch.setattr(deduction._MatchMemo, "fill", checked_fill)
+    memo.clear()
+    assert run() == cold
+    # every window was matched again, some more than once after an overflow
+    assert len(fills) > held
 
 
 def test_one_step_respects_length_bound():

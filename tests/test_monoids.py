@@ -282,6 +282,34 @@ def test_presented_monoid_scales_past_a_thousand_elements():
     assert time.perf_counter() - start < 5.0
 
 
+@pytest.mark.parametrize("block", [1, 2, 3, 5, 64])
+def test_cayley_tables_are_the_same_for_every_transposition_block(monkeypatch, block):
+    # D2, R and S(abc) are not commutative, so a block swapped wrongly shows
+    pres = [D2_PRES, R_PRES,
+            presentation("a b c", "a2=0", "b2=0", "c2=0", "ba=0", "cb=0", "ca=0")]
+    wanted = [from_presentation(p).table for p in pres]
+    monkeypatch.setattr(monoids, "_BLOCK", block)
+    for p, table in zip(pres, wanted):
+        assert from_presentation(p).table.tobytes() == table.tobytes()
+    a = np.arange(7 * 7, dtype=np.uint8).reshape(7, 7)
+    monoids._transpose_in_place(a)
+    assert a.tobytes() == np.arange(49, dtype=np.uint8).reshape(7, 7).T.tobytes()
+
+
+def test_a_presented_table_exists_once_while_it_is_built():
+    # 3000 elements, three 1024-blocks a side: an 18 MB uint16 table, which
+    # a transposed copy would double
+    np.zeros(1)  # numpy's own first allocations are not the build's
+    tracemalloc.start()
+    try:
+        m = cyclic_counter(2999)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert m.table.dtype == np.uint16 and m.mul(2, 3) == 5 and m.mul(2998, 1) == 2999
+    assert peak < 2 * m.table.nbytes
+
+
 def test_from_table_and_invalid_tables():
     sl = from_table(["1", "e"], [["1", "e"], ["e", "e"]], "1")
     assert sl.mul(sl.index("e"), sl.index("e")) == sl.index("e")

@@ -285,6 +285,34 @@ def test_matcher_matches_the_recursive_oracle_on_a_w_family_word():
                 _same_matches(side, word[i:j], True)
 
 
+# the patterns with no letter that occurs once, the only ones the letter-count
+# test can refute; K's sides have counts (2, 4) and (3, 4)
+_COUNTED = ("xx", "xxx", "xxyy", K_LHS, K_RHS)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(_COUNTED), st.text(alphabet="abc", max_size=9), st.booleans())
+@example("xxyy", "aabba", True)  # three a's: no sum of 2s
+@example("xxx", "aaaab", True)
+@example(K_RHS, "aab", False)
+def test_matcher_with_the_count_test_matches_the_recursive_oracle(pattern, window,
+                                                                   allow_empty):
+    _same_matches(pattern, window, allow_empty)
+
+
+def test_matcher_with_the_count_test_matches_the_oracle_on_sampled_w_family_words():
+    assert _compile("xxyy")[1] == (2,) and _compile(K_RHS)[1] == (3, 4)
+    # a letter that occurs once makes every count a sum: no test
+    assert _compile("xxy")[1] == () and _compile("xyx")[1] == ()
+    rng = random.Random(2023)
+    words = enumerate_W((2, 3, 4))
+    for _ in range(100):
+        word = rng.choice(words)
+        i, j = sorted(rng.sample(range(len(word) + 1), 2))
+        for pattern in _COUNTED:
+            _same_matches(pattern, word[i:j], rng.random() < 0.5)
+
+
 def test_compile_cache_stays_bounded():
     maxsize = _compile.cache_info().maxsize
     assert maxsize is not None
