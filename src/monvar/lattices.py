@@ -15,8 +15,9 @@ The meet and join tables are symmetric, so the element tests read rows of
 them, never columns.  The modular failures of an element are its costandard
 failures at a <= b, so `classify_element` builds one n x n matrix for both.
 The cancellable test first looks for a repeated pair (x v a, x ^ a) by a
-key computed in intp (a uint8 product would wrap past 16 elements), and
-builds the n x n matrix of equal pairs only to name a witness.
+key computed in `position_dtype` (a uint8 product would wrap past 16
+elements), and builds the n x n matrix of equal pairs only to name a
+witness.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 
-from .lazy import gather, index_dtype, np
+from .lazy import gather, index_dtype, np, position_dtype
 from .words import ParseError, data_lines
 
 
@@ -189,19 +190,24 @@ def _costandard_failures(lat: FiniteLattice, x: int):
     """[a, b] -> a v (x ^ b) != (a v x) ^ (a v b).  Where a <= b, a v b = b,
     so those cells are the failures of the modular law (a v x) ^ b = a v (x ^ b).
 
-    Both tables are symmetric, so every read is a row read: row x ^ b of join
-    is a v (x ^ b) over a, and the right side is one flat gather from the
-    rows a v x of meet."""
-    lhs = lat.join[lat.meet[x]].T
-    return lhs != gather(lat.meet, lat.join[x][:, None], lat.join)
+    Both tables are symmetric, so every read is a row read and both sides
+    come out contiguous with b as the row: row x ^ b of join is a v (x ^ b)
+    over a, and the right side is one flat gather from the rows a v x of
+    meet.  The matrix returned is the transposed view of their comparison,
+    so its row-major order is that of (a, b)."""
+    lhs = lat.join[lat.meet[x]]  # [b, a] -> a v (x ^ b)
+    return (lhs != gather(lat.meet, lat.join[x][None, :], lat.join)).T
 
 
 def _cancellable(lat: FiniteLattice, x: int) -> Check:
     """Joining and meeting with x must separate distinct elements: the n
-    pairs (x v a, x ^ a) are checked for repeats by a key in intp, and the
-    n x n matrix of equal pairs is built only for the witness."""
+    pairs (x v a, x ^ a) are checked for repeats by the key
+    (x v a) * n + (x ^ a), a position in the n x n table, computed in
+    `position_dtype`; the n x n matrix of equal pairs is built only for
+    the witness."""
     jx, mx = lat.join[x], lat.meet[x]
-    key = np.sort(np.multiply(jx, len(lat), dtype=np.intp) + mx)
+    n = len(lat)
+    key = np.sort(np.multiply(jx, n, dtype=position_dtype(n * n)) + mx)
     if (key[1:] != key[:-1]).all():
         return _PASS
     same = (jx[:, None] == jx) & (mx[:, None] == mx)
@@ -316,8 +322,9 @@ def partition_lattice(k: int) -> FiniteLattice:
     The meet is the common refinement and the join the transitive closure
     of the union (Ore 1942), so both tables come from the blocks, not from
     the order: each partition is keyed by the bits of its k x k same-block
-    matrix, the meet's key is the AND of two keys, and the join's matrix is
-    the closure of the OR of two matrices by Boolean squaring.  One
+    matrix, p refines q iff the AND of their keys is the key of p, the
+    meet's key is the AND of two keys, and the join's matrix is the
+    closure of the OR of two matrices by Boolean squaring.  One
     searchsorted over the sorted keys maps keys back to indices.  The tables
     are filled one row at a time, so temporaries hold O(n k^2) cells,
     n = Bell(k) <= 203."""
@@ -327,11 +334,11 @@ def partition_lattice(k: int) -> FiniteLattice:
     block = np.array([[next(i for i, b in enumerate(p.blocks) if e in b)
                        for e in range(1, k + 1)] for p in parts])
     same = block[:, :, None] == block[:, None, :]  # same[p, e, f]: e, f share a block of p
-    # p refines q iff every pair in one block of p is in one block of q
-    leq = (same[:, None] <= same[None, :]).all(axis=(2, 3))
     n = len(parts)
     bits = np.left_shift(1, np.arange(k * k, dtype=np.int64))  # k^2 <= 36 bits
     key = same.reshape(n, k * k) @ bits
+    # p refines q iff every pair in one block of p is in one block of q
+    leq = (key[:, None] & key) == key[:, None]
     order = np.argsort(key)
     sorted_key = key[order]
     meet = np.empty((n, n), dtype=index_dtype(n))

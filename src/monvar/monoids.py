@@ -327,17 +327,21 @@ def _cayley_table(right: np.ndarray, reached_by) -> np.ndarray:
 _BLOCK = 1 << 10
 
 
-def _transpose_in_place(a: np.ndarray) -> None:
-    """Transpose the square array a, swapping one pair of blocks at a time."""
+def _block_pairs(a: np.ndarray):
+    """Each block on or above the diagonal of the square array a, with its
+    mirror image below it (the block itself on the diagonal), as views."""
     n = len(a)
     for i in range(0, n, _BLOCK):
-        diagonal = a[i:i + _BLOCK, i:i + _BLOCK]
-        diagonal[...] = diagonal.T.copy()
-        for j in range(i + _BLOCK, n, _BLOCK):
-            upper, lower = a[i:i + _BLOCK, j:j + _BLOCK], a[j:j + _BLOCK, i:i + _BLOCK]
-            held = upper.T.copy()
-            upper[...] = lower.T
-            lower[...] = held
+        for j in range(i, n, _BLOCK):
+            yield a[i:i + _BLOCK, j:j + _BLOCK], a[j:j + _BLOCK, i:i + _BLOCK]
+
+
+def _transpose_in_place(a: np.ndarray) -> None:
+    """Transpose the square array a, swapping one pair of blocks at a time."""
+    for upper, lower in _block_pairs(a):
+        held = upper.T.copy()
+        upper[...] = lower.T  # on the diagonal numpy copies the overlapping source first
+        lower[...] = held
 
 
 def direct_product(m: FiniteMonoid, n: FiniteMonoid) -> FiniteMonoid:
@@ -463,7 +467,9 @@ def find_counterexample(m: FiniteMonoid, ident: Identity,
     n, k = len(m), len(letters)
     lead = next(j for j in range(k + 1) if n ** (k - j) <= _CHUNK_CELLS)
     shape = (n,) * (k - lead)
-    axes = {c: np.arange(n).reshape([n if j == i else 1 for j in range(k - lead)])
+    # in the table's dtype: an intp axis would widen every gathered position
+    axes = {c: np.arange(n, dtype=m.table.dtype).reshape([n if j == i else 1
+                                                          for j in range(k - lead)])
             for i, c in enumerate(letters[lead:])}
     fixed = {}
 
@@ -527,7 +533,9 @@ def is_completely_regular(m: FiniteMonoid) -> bool:
 
 
 def is_commutative(m: FiniteMonoid) -> bool:
-    return bool(np.array_equal(m.table, m.table.T))
+    """Whether the table is its own transpose, compared one pair of blocks
+    at a time, so no n x n temporary is made."""
+    return all(np.array_equal(upper, lower.T) for upper, lower in _block_pairs(m.table))
 
 
 # ---------------------------------------------------------------------------

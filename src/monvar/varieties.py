@@ -6,7 +6,7 @@ part, occurrence, capped occurrence, modular occurrence) are rows of one
 table of word invariants: u = v holds iff u and v have the same invariant.
 A failure is witnessed in the generating monoid; for the cyclic commutative
 ones (SL, C<n>, A<m>, and a counter for COM) the witness is built from the
-occurrence counts, with no table.  Finite-model entries are decided by
+occurrence counts, with no table, and the monoid is built only when read.  Finite-model entries are decided by
 exhaustive model checking; the rest fall back to bounded deduction plus a
 fixed pool of five cyclic commutative monoids, those that satisfy the basis,
 which refute from occurrence counts too, answering unknown honestly when
@@ -51,16 +51,33 @@ class Verdict:
         return self.value == HOLDS
 
 
+class _Model:
+    """The `model` field of VarietySpec: the monoid given, or for an SL, C<n>
+    or A<m> spec given none, the monoid of its cyclic row, built on the
+    first read and kept, so every read returns the same object.  Their
+    verdicts read the row, not the model, and so build no table."""
+
+    def __get__(self, spec, owner=None):
+        if spec is None:
+            return None  # the field's default
+        if spec._model is None and spec.rule in (RULE_SL, RULE_CN, RULE_AM):
+            spec._model = _RULE_MODELS[spec.rule](spec.param).monoid()
+        return spec._model
+
+    def __set__(self, spec, model):
+        spec._model = model
+
+
 @dataclass
 class VarietySpec:
     name: str
     basis: IdentitySystem | None = None
-    model: monoids.FiniteMonoid | None = None
+    model: monoids.FiniteMonoid | None = _Model()
     rule: str = RULE_DEDUCTION
     param: int | None = None
 
     def __post_init__(self):
-        if self.basis is None and self.model is None:
+        if self.basis is None and self._model is None:
             raise ValueError(f"variety {self.name} needs a basis or a model")
 
     @cached_property
@@ -143,7 +160,7 @@ def model_contains_basis(m: monoids.FiniteMonoid, basis: IdentitySystem) -> bool
 _FIXED = {
     "T": lambda: dict(basis=system("x=1"), model=monoids.named_monoid("group:1"),
                       rule=RULE_MODEL),
-    "SL": lambda: dict(basis=system("x2=x", "xy=yx"), model=_semilattice_2(), rule=RULE_SL),
+    "SL": lambda: dict(basis=system("x2=x", "xy=yx"), rule=RULE_SL),
     "COM": lambda: dict(basis=system("xy=yx"), rule=RULE_COM),
     "MON": lambda: dict(basis=IdentitySystem(frozenset(), "MON")),
     "D": lambda: dict(basis=system("x2=x3", "x2y=xyx", "xyx=yx2", name="D")),
@@ -171,8 +188,7 @@ def variety_C(n: int) -> VarietySpec:
     if n < 2:
         raise ValueError("variety_C needs n >= 2")
     basis = system(f"x{n}=x{n + 1}", "xy=yx", name=f"C{n}")
-    return VarietySpec(f"C{n}", basis=basis, model=monoids.named_monoid(f"counter:{n}"),
-                       rule=RULE_CN, param=n)
+    return VarietySpec(f"C{n}", basis=basis, rule=RULE_CN, param=n)
 
 
 def variety_B(n: int) -> VarietySpec:
@@ -185,10 +201,9 @@ def variety_A(m: int) -> VarietySpec:
     """Abelian groups of exponent m (as monoids)."""
     if m < 1:
         raise ValueError("variety_A needs m >= 1")
-    # parsed, so an x^m past MAX_WORD_LEN is refused before group:m is built
+    # parsed, so an x^m past MAX_WORD_LEN is refused
     basis = system("xy=yx", f"x{m}=1", name=f"A{m}")
-    return VarietySpec(f"A{m}", basis=basis, model=monoids.named_monoid(f"group:{m}"),
-                       rule=RULE_AM, param=m)
+    return VarietySpec(f"A{m}", basis=basis, rule=RULE_AM, param=m)
 
 
 def variety_Z(n: int, v: str) -> VarietySpec:
@@ -207,9 +222,10 @@ _FAMILIES = {"C": variety_C, "B": variety_B, "A": variety_A}
 def lookup(name: str) -> VarietySpec:
     """Resolve a catalog or family name (C7, B2, A5, Z:2:xy, underscores ok).
 
-    A fixed entry is built on its first lookup, with its generating monoid
-    if it has one, and every later lookup returns that same spec; a family
-    name builds a new spec each time."""
+    A fixed entry is built on its first lookup, and every later lookup
+    returns that same spec; a family name builds a new spec each time.  The
+    generating monoid of SL, C<n> and A<m> is built on the first read of
+    `model`, which no verdict makes; every other model with its spec."""
     key = name.replace("_", "").strip()
     if key in _FIXED:
         return _fixed_entry(key)

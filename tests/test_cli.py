@@ -426,6 +426,11 @@ def test_verify_paper_builds_a_failure_message_inside_a_loop(monkeypatch, capsys
     # refutations in the cyclic commutative models come from occurrence counts
     (["check", "Q", "y3=x"], False),
     (["check", "COM", "x20000=1"], False),
+    # and so do the verdicts and witnesses of SL, A<m> and C<n>, whose
+    # generating monoids are built only when read
+    (["check", "SL", "x2=x2y"], False),
+    (["check", "A3", "y=x"], False),
+    (["check", "C2", "x=x2"], False),
 ])
 def test_only_table_commands_execute_numpy(argv, loads_numpy):
     script = "\n".join([
@@ -475,6 +480,7 @@ print(code, "dataclasses" in sys.modules and not had_dataclasses,
     (["derive", "x3y", "x4y", "--system", "D", "--max-len", "7", "--max-depth", "4"], 0,
      {"words", "deduction", "varieties"}),
     (["check", "Q", "y3=x"], 1, {"words", "deduction", "varieties"}),
+    (["check", "SL", "x2=x2y"], 1, {"words", "deduction", "varieties"}),
 ])
 def test_import_registers_every_submodule_and_preceq_runs_only_the_word_ones(
         argv, code, may_run):

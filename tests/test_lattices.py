@@ -209,6 +209,52 @@ def test_element_kernel_matches_the_n_by_n_formulas():
                     for ok in (True, False) for big in (True, False)}
 
 
+def _python_report(lat, x):
+    """The three element tests by their definitions, over the tables as
+    Python lists, each a loop over a then b: the first bad (a, b) is the
+    witness."""
+    n, meet, join, leq = len(lat), lat.meet.tolist(), lat.join.tolist(), lat.leq.tolist()
+
+    def first(bad):
+        pair = next(((a, b) for a in range(n) for b in range(n) if bad(a, b)), None)
+        return Check(True) if pair is None else Check(False, tuple(lat.names[k] for k in pair))
+
+    return ElementReport(
+        lat.names[x],
+        modular=first(lambda a, b: leq[a][b]
+                      and meet[join[x][a]][b] != join[meet[x][b]][a]),
+        cancellable=first(lambda a, b: a != b and join[x][a] == join[x][b]
+                          and meet[x][a] == meet[x][b]),
+        costandard=first(lambda a, b: join[a][meet[x][b]] != meet[join[a][x]][join[a][b]]))
+
+
+def _seeded_downsets(seed, count):
+    """Down-set lattices of 17 to 80 elements from seeded random posets."""
+    rng = np.random.default_rng(seed)
+    found = []
+    while len(found) < count:
+        m = int(rng.integers(5, 8))
+        rel = [(i, j) for i in range(m) for j in range(i + 1, m) if rng.random() < 0.3]
+        lat = _downset_lattice(m, rel)
+        if 17 <= len(lat) <= 80:
+            found.append(lat)
+    return found
+
+
+@pytest.mark.parametrize("name", ["fig1", "fig2", "chainD", "part:3", "part:4", "part:5",
+                                  "downsets"])
+def test_element_tests_match_a_loop_over_the_definitions(name):
+    # part:5 has 52 elements, so its witnesses come through uint16 positions
+    lats = _seeded_downsets(7, 3) if name == "downsets" else [named_lattice(name)]
+    for lat in lats:
+        for x in range(len(lat)):
+            want = _python_report(lat, x)
+            assert classify_element(lat, x) == want
+            assert is_modular_element(lat, x) == want.modular
+            assert is_cancellable_element(lat, x) == want.cancellable
+            assert is_costandard_element(lat, x) == want.costandard
+
+
 def test_passing_checks_share_one_object():
     lat = fixtures()["chainD"]
     rep = classify_element(lat, lat.top)
@@ -348,6 +394,15 @@ def test_partition_tables_from_blocks_match_the_generic_tables(k):
     for got, want in ((lat.meet, ref.meet), (lat.join, ref.join)):
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("k", range(1, 6))
+def test_partition_order_from_the_keys_is_refinement(k):
+    lat = partition_lattice(k)
+    parts = all_partitions(k)
+    assert [p.label for p in parts] == list(lat.names)
+    want = np.array([[p.refines(q) for q in parts] for p in parts])
+    assert lat.leq.dtype == bool and np.array_equal(lat.leq, want)
 
 
 def test_partition_lattice_builds_its_tables_row_by_row():

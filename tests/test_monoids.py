@@ -3,6 +3,7 @@ import random
 import time
 import tracemalloc
 from collections import deque
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from monvar import monoids
-from monvar.lazy import gather, index_dtype
+from monvar.lazy import gather, index_dtype, position_dtype
 from monvar.monoids import (
     FiniteMonoid,
     InvalidTable,
@@ -310,6 +311,37 @@ def test_a_presented_table_exists_once_while_it_is_built():
     assert peak < 2 * m.table.nbytes
 
 
+@pytest.mark.parametrize("block", [1, 2, 3, 5, 1024])
+def test_commutativity_is_the_same_for_every_comparison_block(monkeypatch, block):
+    monkeypatch.setattr(monoids, "_BLOCK", block)
+    names = ("D2", "R", "Rop", "RxRop", "counter:6", "group:5", "lrb:2", "lrb:3")
+    products = [direct_product(cyclic_counter(k), named_monoid("R")) for k in (1, 2, 4)]
+    for m in [named_monoid(name) for name in names] + products:
+        assert is_commutative(m) == np.array_equal(m.table, m.table.T)
+    # one asymmetric pair of cells, in every place and so in every block pair
+    rng = np.random.default_rng(block)
+    upper = np.triu(rng.integers(0, 250, (7, 7), dtype=np.uint8))
+    symmetric = upper + np.triu(upper, 1).T
+    assert is_commutative(SimpleNamespace(table=symmetric))
+    for i, j in itertools.permutations(range(7), 2):
+        table = symmetric.copy()
+        table[i, j] += 1
+        assert not is_commutative(SimpleNamespace(table=table)), (i, j)
+
+
+def test_commutativity_is_compared_without_a_table_sized_temporary():
+    # 3000 elements: comparing the whole table with its transpose would
+    # hold 9 M Booleans at once, one pair of 1024-blocks holds at most 1 M
+    m = cyclic_counter(2999)
+    tracemalloc.start()
+    try:
+        assert is_commutative(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < m.table.size // 4
+
+
 def test_from_table_and_invalid_tables():
     sl = from_table(["1", "e"], [["1", "e"], ["e", "e"]], "1")
     assert sl.mul(sl.index("e"), sl.index("e")) == sl.index("e")
@@ -437,6 +469,43 @@ def test_index_dtype_is_the_smallest_that_holds_every_index():
         assert np.iinfo(dtype).max >= order - 1
 
 
+def test_position_dtype_is_the_smallest_unsigned_that_holds_every_position():
+    for size, dtype in ((1, np.uint8), (256, np.uint8), (257, np.uint16), (65536, np.uint16),
+                        (65537, np.uint32), (1 << 32, np.uint32), ((1 << 32) + 1, np.intp)):
+        assert position_dtype(size) is dtype
+        assert np.iinfo(dtype).max >= size - 1
+    # index_dtype turns signed past 65 536, so it could not hold the last
+    # position of a 65 536-element table, 2^32 - 1
+    assert index_dtype(65536 ** 2) is np.int32 and np.iinfo(np.int32).max < 65536 ** 2 - 1
+
+
+# tables on both sides of 2^8 and 2^16 cells, square (16/17 and 256/257
+# elements) or one row or column long, each cell holding its own position
+_GATHER_SHAPES = ((16, 16), (17, 17), (256, 256), (257, 257), (1, 256), (1, 257),
+                  (256, 1), (2, 128), (2, 129))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(_GATHER_SHAPES), st.data())
+def test_gather_reads_every_position_across_the_dtype_edges(shape, data):
+    table = np.arange(shape[0] * shape[1], dtype=np.uint32).reshape(shape)
+
+    def indices(bound, label):
+        dtype = data.draw(st.sampled_from(
+            [t for t in (np.uint8, np.uint16, np.intp) if np.iinfo(t).max >= bound - 1]),
+            label=f"{label} dtype")
+        # the last index is drawn often: it reaches the last positions
+        values = st.one_of(st.just(bound - 1), st.integers(0, bound - 1))
+        length = data.draw(st.integers(1, 6), label=f"{label} length")
+        return np.array(data.draw(st.lists(values, min_size=length, max_size=length),
+                                  label=label), dtype=dtype)
+
+    rows, cols = indices(shape[0], "rows"), indices(shape[1], "cols")
+    for r, c in ((rows[:, None], cols[None, :]), (rows, cols[:1]), (rows[:1], cols),
+                 (int(rows[0]), cols)):
+        assert np.array_equal(gather(table, r, c), table[r, c])
+
+
 @pytest.mark.parametrize("n", [3, 300])
 def test_gather_is_two_dimensional_indexing(n):
     rng = np.random.default_rng(n)
@@ -453,6 +522,27 @@ def test_scan_agrees_with_the_oracle_on_both_sides_of_the_uint8_boundary(n):
     for text in ("x=x2", "xy=yx", "x3=x4", f"x{n}=x{n + 1}", f"x{n - 1}y=x{n}y", "xyx=x2y"):
         ident = parse_identity(text)
         assert find_counterexample(m, ident) == _first_violation(m, ident), text
+
+
+# counter:15, 16, 255 and 256 have 16, 17, 256 and 257 elements: the flat
+# positions of their tables need uint8, uint16, uint16 and uint32
+@pytest.mark.parametrize("n", [15, 16, 255, 256])
+def test_scan_agrees_with_the_lexicographic_scan_across_the_position_dtypes(n, monkeypatch):
+    m = cyclic_counter(n)
+    texts = ["x=x2", "xy=yx", f"x{n}=x{n + 1}", f"x{n - 1}y=x{n}y", f"xy{n - 1}=x2y{n - 1}",
+             f"x{n - 1}=y{n - 1}"]
+    if n < 20:  # three letters: n^3 cells for the pure-Python scan
+        texts += ["xyz=zyx", f"x{n - 1}yz=x{n}z", "xz=yz2"]
+    seen = set()
+    for text in texts:
+        ident = parse_identity(text)
+        want = _first_violation(m, ident)
+        seen.add(want is None)
+        assert find_counterexample(m, ident) == want, text
+        with monkeypatch.context() as patch:  # leading letters fixed, one chunk each
+            patch.setattr(monoids, "_CHUNK_CELLS", len(m))
+            assert find_counterexample(m, ident) == want, text
+    assert seen == {True, False}
 
 
 def test_direct_product_keeps_pair_indices_past_uint8():

@@ -97,6 +97,42 @@ def test_looking_up_a_deduction_entry_builds_no_monoid():
     assert done.stdout.split() == ["0"]
 
 
+def test_rule_models_are_built_on_their_first_read():
+    # SL, C<n> and A<m> decide and name witnesses from occurrence counts, so
+    # their specs build no monoid, and numpy stays unloaded, until `model`
+    # is read; then every read, and every later lookup, sees one object
+    script = "\n".join([
+        "import sys",
+        "from monvar.words import parse_identity",
+        "from monvar.varieties import decide_identity, lookup, variety_A",
+        "specs = [lookup('SL'), lookup('C2'), variety_A(3)]",
+        "for spec in specs:",
+        "    assert decide_identity(spec, parse_identity('x2=x2y')).witness",
+        "print('numpy._core' in sys.modules)",
+        "models = [spec.model for spec in specs]",
+        "assert all(spec.model is m for spec, m in zip(specs, models))",
+        "assert lookup('SL').model is models[0] and lookup('C2').model is models[1]",
+        "print(*(len(m) for m in models))",
+    ])
+    src = str(Path(monvar.__file__).resolve().parents[1])
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["False", "2 3 3"]
+
+
+def test_a_spec_needs_a_basis_or_a_model():
+    with pytest.raises(ValueError, match="variety X needs a basis or a model"):
+        VarietySpec("X")
+    with pytest.raises(ValueError, match="needs a basis or a model"):
+        VarietySpec("X", rule="SL-content")  # the row builds a model only for a valid spec
+    m = named_monoid("D2")
+    assert VarietySpec("X", model=m).model is m
+    assert VarietySpec("X", basis=lookup("SL").basis, model=m, rule="SL-content").model is m
+
+
 def test_k_identity_words():
     assert K_LHS == "yyxttzzyyttxzz"
     assert K_RHS == "yyxttzzxyyttxzz"
