@@ -118,31 +118,20 @@ def _cmd_monoid_info(args) -> int:
 
 def _cmd_lattice(args) -> int:
     lat = _resolve(args.source, lattices.named_lattice, lattices.load_lattice, "lattice")
-    wanted = [(label, fn) for label, fn, on in (
-        ("modular", lattices.is_modular_element, args.modular),
-        ("cancellable", lattices.is_cancellable_element, args.cancellable),
-        ("costandard", lattices.is_costandard_element, args.costandard)) if on]
+    tests = ("modular", "cancellable", "costandard")
+    wanted = [label for label in tests if getattr(args, label)]
     if args.element is None and wanted:
         raise _UsageError("element property flags require --element")
     if args.element is not None:
         el = args.element.replace("∨", "v")  # accept the join sign
+        rep = lattices.classify_element(lat, el)
         if not wanted:
-            rep = lattices.classify_element(lat, el)
             print(f"element {rep.element} of {args.source}:")
-            for label, chk in (("modular", rep.modular),
-                               ("cancellable", rep.cancellable),
-                               ("costandard", rep.costandard)):
-                print(f"  {label}: {_render_check(chk)}")
-            return 0
-        code = 0
-        for label, fn in wanted:
-            chk = fn(lat, el)
-            print(f"{label}: {_render_check(chk)}")
-            if not chk.ok:
-                code = 1
-        return code
+        for label in wanted or tests:  # the full report is indented under its heading
+            print(f"{'' if wanted else '  '}{label}: {_render_check(getattr(rep, label))}")
+        return 0 if all(getattr(rep, label).ok for label in wanted) else 1
     if args.count_modular:
-        count = sum(bool(lattices.is_modular_element(lat, i)) for i in range(len(lat)))
+        count = sum(lattices.classify_element(lat, i).modular.ok for i in range(len(lat)))
         print(f"{count} of {len(lat)} elements are modular")
         return 0
     print(f"lattice {args.source}: {len(lat)} elements,"
@@ -151,9 +140,9 @@ def _cmd_lattice(args) -> int:
         print(f"modular: {_render_check(lattices.is_modular_lattice(lat))}")
         print(f"distributive: {_render_check(lattices.is_distributive_lattice(lat))}")
         return 0
-    for name in lat.names:
-        rep = lattices.classify_element(lat, name)
-        print(f"  {name}: modular={_yesno(rep.modular.ok)}"
+    for x in range(len(lat)):
+        rep = lattices.classify_element(lat, x)
+        print(f"  {rep.element}: modular={_yesno(rep.modular.ok)}"
               f" cancellable={_yesno(rep.cancellable.ok)}"
               f" costandard={_yesno(rep.costandard.ok)}")
     return 0

@@ -15,7 +15,7 @@ The meet and join tables are symmetric, so the element tests read rows of
 them, never columns.  The modular failures of an element are its costandard
 failures at a <= b, so `classify_element` builds one n x n matrix for both.
 The cancellable test first looks for a repeated pair (x v a, x ^ a) by a
-key computed in `position_dtype` (a uint8 product would wrap past 16
+key computed in `index_dtype(n * n)` (a uint8 product would wrap past 16
 elements), and builds the n x n matrix of equal pairs only to name a
 witness.
 """
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 
-from .lazy import gather, index_dtype, np, position_dtype
+from .lazy import gather, index_dtype, np
 from .words import ParseError, data_lines
 
 
@@ -96,7 +96,6 @@ class FiniteLattice:
             raise ValueError("order matrix must be transitively closed")
         self.names = names
         self.leq = leq
-        self._index = {name: i for i, name in enumerate(names)}
 
     @classmethod
     def from_covers(cls, names, covers):
@@ -125,8 +124,8 @@ class FiniteLattice:
                 raise KeyError(f"element index {element} out of range")
             return int(element)
         try:
-            return self._index[element]
-        except KeyError:
+            return self.names.index(element)
+        except ValueError:
             raise KeyError(f"no element named {element!r}") from None
 
     def le(self, a, b) -> bool:
@@ -203,11 +202,11 @@ def _cancellable(lat: FiniteLattice, x: int) -> Check:
     """Joining and meeting with x must separate distinct elements: the n
     pairs (x v a, x ^ a) are checked for repeats by the key
     (x v a) * n + (x ^ a), a position in the n x n table, computed in
-    `position_dtype`; the n x n matrix of equal pairs is built only for
+    `index_dtype(n * n)`; the n x n matrix of equal pairs is built only for
     the witness."""
     jx, mx = lat.join[x], lat.meet[x]
     n = len(lat)
-    key = np.sort(np.multiply(jx, n, dtype=position_dtype(n * n)) + mx)
+    key = np.sort(np.multiply(jx, n, dtype=index_dtype(n * n)) + mx)
     if (key[1:] != key[:-1]).all():
         return _PASS
     same = (jx[:, None] == jx) & (mx[:, None] == mx)

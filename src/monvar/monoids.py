@@ -2,7 +2,7 @@
 
 Elements are indices 0..n-1 with display names; tables are numpy
 matrices in the smallest dtype that holds every index (`index_dtype`:
-uint8 up to 256 elements, uint16 up to 65 536, int32 above), each built
+uint8 up to 256 elements, uint16 up to 65 536, uint32 above), each built
 in that dtype rather than cast at the end.  Presentations with zero use
 factor-exclusion normal forms (a word is zero iff it contains a relator
 factor); general relations are oriented length-lexicographically and
@@ -93,8 +93,7 @@ class FiniteMonoid:
         self.one = one
         self.zero = zero
         self.factors: tuple[FiniteMonoid, ...] = ()  # set by direct_product
-        self._index = {nm: i for i, nm in enumerate(self.names)}
-        if len(self._index) != len(self.names):
+        if len(set(self.names)) != len(self.names):
             raise InvalidTable("element names are not distinct")
         table = np.asarray(table)
         self._check_entries(table)
@@ -109,8 +108,8 @@ class FiniteMonoid:
 
     def index(self, name: str) -> int:
         try:
-            return self._index[name]
-        except KeyError:
+            return self.names.index(name)
+        except ValueError:
             raise KeyError(f"no element named {name!r}") from None
 
     def mul(self, i: int, j: int) -> int:

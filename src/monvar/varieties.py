@@ -1,12 +1,12 @@
 """Catalog of named monoid varieties and their decision procedures.
 
 Each entry carries a defining identity basis and/or a generating finite
-monoid, plus a decision rule tag.  Rule-based entries (content, initial
-part, occurrence, capped occurrence, modular occurrence) are rows of one
-table of word invariants: u = v holds iff u and v have the same invariant.
-A failure is witnessed in the generating monoid; for the cyclic commutative
-ones (SL, C<n>, A<m>, and a counter for COM) the witness is built from the
-occurrence counts, with no table, and the monoid is built only when read.  Finite-model entries are decided by
+monoid, plus a decision rule tag.  The cyclic commutative rule entries
+(SL, COM, C<n>, A<m>) are rows of one table: each is decided, and a
+failure witnessed, by the occurrence counts in its generating monoid (for
+COM a counter past the first differing count), with no table, and the
+monoid is built only when read.  LRB is decided by initial parts and
+witnessed in its generating monoid.  Finite-model entries are decided by
 exhaustive model checking; the rest fall back to bounded deduction plus a
 fixed pool of five cyclic commutative monoids, those that satisfy the basis,
 which refute from occurrence counts too, answering unknown honestly when
@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import itertools
 import re
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable
@@ -61,7 +60,7 @@ class _Model:
         if spec is None:
             return None  # the field's default
         if spec._model is None and spec.rule in (RULE_SL, RULE_CN, RULE_AM):
-            spec._model = _RULE_MODELS[spec.rule](spec.param).monoid()
+            spec._model = _CYCLIC_RULES[spec.rule][0](spec.param).monoid()
         return spec._model
 
     def __set__(self, spec, model):
@@ -302,31 +301,21 @@ _SEMILATTICE = _Cyclic(lambda k: min(k, 1), 2, "e", _semilattice_2)
 # the refutation pool of deduction-only entries, in the order it is tried
 _POOL = (_SEMILATTICE, _counter(2), _counter(3), _group(2), _group(3))
 
-# rule tag -> the row of its generating model, given the parameter
-_RULE_MODELS = {RULE_SL: lambda p: _SEMILATTICE, RULE_CN: _counter, RULE_COM: _counter,
-                RULE_AM: _group}
-
 
 # ---------------------------------------------------------------------------
 # the word problem
 
 
-# rule tag -> (invariant of (word, param), reason when the two sides'
-# invariants agree, reason when they differ).  The reasons are formatted with
-# the invariants l and r, the parameter p, and bad, the first letter (in
-# sorted order) whose occurrence counts differ.
-_INVARIANTS = {
-    RULE_SL: (lambda w, p: "".join(sorted(set(w))) or "1",
-              "equal contents", "contents differ: {l} vs {r}"),
-    RULE_LRB: (lambda w, p: initial_part(w) or "1",
-               "equal initial parts ({l})", "initial parts differ: {l} vs {r}"),
-    RULE_COM: (lambda w, p: Counter(w),
-               "equal occurrence counts", "occurrence counts differ at {bad}"),
-    RULE_CN: (lambda w, p: {c: min(k, p) for c, k in Counter(w).items()},
-              "occurrence counts agree capped at {p}",
+# rule tag -> (the row of its generating monoid, given the parameter; reason
+# when the identity holds there; reason when it fails).  The reasons are
+# formatted with the parameter p, the contents l and r of the two sides, and
+# bad, the first letter (in sorted order) whose occurrence counts differ.
+_CYCLIC_RULES = {
+    RULE_SL: (lambda p: _SEMILATTICE, "equal contents", "contents differ: {l} vs {r}"),
+    RULE_COM: (_counter, "equal occurrence counts", "occurrence counts differ at {bad}"),
+    RULE_CN: (_counter, "occurrence counts agree capped at {p}",
               "occurrence counts differ capped at {p}"),
-    RULE_AM: (lambda w, p: {c: k % p for c, k in Counter(w).items() if k % p},
-              "occurrence counts agree mod {p}", "occurrence counts differ mod {p}"),
+    RULE_AM: (_group, "occurrence counts agree mod {p}", "occurrence counts differ mod {p}"),
 }
 
 
@@ -334,22 +323,26 @@ def decide_identity(v: VarietySpec, ident: Identity,
                     bounds: Bounds = Bounds()) -> Verdict:
     lhs, rhs = ident.lhs, ident.rhs
 
-    if v.rule in _INVARIANTS:
-        invariant, agree, differ = _INVARIANTS[v.rule]
-        l, r = invariant(lhs, v.param), invariant(rhs, v.param)
-        if l == r:
-            return Verdict(HOLDS, reason=agree.format(l=l, p=v.param))
+    if v.rule in _CYCLIC_RULES:
+        row, agree, differ = _CYCLIC_RULES[v.rule]
         bad = next((c for c in sorted(ident.letters()) if occ(lhs, c) != occ(rhs, c)), None)
-        if v.rule == RULE_LRB:
-            try:
-                witness = monoids.find_counterexample(v.model, ident)
-            except monoids.SearchCapExceeded:  # the rule has decided
-                witness = None
-        else:  # COM has no model: a counter that counts past bad's occurrences
-            p = max(occ(lhs, bad), occ(rhs, bad)) + 1 if v.rule == RULE_COM else v.param
-            witness = _RULE_MODELS[v.rule](p).witness(ident)
-        return Verdict(FAILS, witness=witness,
-                       reason=differ.format(l=l, r=r, p=v.param, bad=bad))
+        # COM has no model: a counter that counts past bad's occurrences
+        p = max(occ(lhs, bad), occ(rhs, bad)) + 1 if v.rule == RULE_COM and bad else v.param
+        witness = row(p).witness(ident) if bad else None  # no counts differ: it holds
+        if witness is None:
+            return Verdict(HOLDS, reason=agree.format(p=p))
+        l, r = ("".join(sorted(set(w))) or "1" for w in (lhs, rhs))
+        return Verdict(FAILS, witness=witness, reason=differ.format(l=l, r=r, p=p, bad=bad))
+
+    if v.rule == RULE_LRB:
+        l, r = initial_part(lhs) or "1", initial_part(rhs) or "1"
+        if l == r:
+            return Verdict(HOLDS, reason=f"equal initial parts ({l})")
+        try:
+            witness = monoids.find_counterexample(v.model, ident)
+        except monoids.SearchCapExceeded:  # the rule has decided
+            witness = None
+        return Verdict(FAILS, witness=witness, reason=f"initial parts differ: {l} vs {r}")
 
     if v.rule == RULE_MODEL:
         cx = monoids.find_counterexample(v.model, ident)

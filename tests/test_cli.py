@@ -308,6 +308,13 @@ def test_lattice_element_flag(capsys):
     assert "witness" in out
 
 
+@pytest.mark.parametrize("flags", [(), ("--modular",)])
+def test_lattice_unknown_element(capsys, flags):
+    # with or without a property flag, the one report names the element
+    code, out, err = run(capsys, "lattice", "fig1", "--element", "nosuch", *flags)
+    assert (code, out, err) == (65, "", "error: no element named 'nosuch'\n")
+
+
 def test_lattice_element_report(capsys):
     code, out, _ = run(capsys, "lattice", "fig1", "--element", "xvy")
     assert code == 0

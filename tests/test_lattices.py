@@ -43,6 +43,20 @@ def test_from_covers_chain():
     assert lat.join_of("c1", "c2") == "c2"
 
 
+def test_index_by_name_and_by_position():
+    lat = _chain(3)
+    assert [lat.index(name) for name in lat.names] == [0, 1, 2]
+    assert lat.index(np.uint8(2)) == 2
+    for element, message in (("q", "no element named 'q'"),
+                             (3, "element index 3 out of range"),
+                             (-1, "element index -1 out of range")):
+        with pytest.raises(KeyError) as exc:
+            lat.index(element)
+        assert exc.value.args[0] == message
+    with pytest.raises(ValueError, match="element names must be distinct"):
+        FiniteLattice.from_covers(["a", "a"], [])
+
+
 def test_from_covers_rejects_bowtie():
     # two maximal elements over two minimal ones: join of the minima is ambiguous
     with pytest.raises(NotALattice):

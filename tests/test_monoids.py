@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from monvar import monoids
-from monvar.lazy import gather, index_dtype, position_dtype
+from monvar.lazy import gather, index_dtype
 from monvar.monoids import (
     FiniteMonoid,
     InvalidTable,
@@ -355,6 +355,16 @@ def test_from_table_and_invalid_tables():
         from_table(["1", "x"], [["1", "q"], ["x", "x"]], "1")
 
 
+def test_index_finds_each_name_and_refuses_unknown_or_repeated_ones():
+    m = cyclic_counter(3)
+    assert [m.index(name) for name in m.names] == list(range(len(m)))
+    with pytest.raises(KeyError) as exc:
+        m.index("b")
+    assert exc.value.args[0] == "no element named 'b'"
+    with pytest.raises(InvalidTable, match="element names are not distinct"):
+        FiniteMonoid(["1", "1"], [[0, 1], [1, 1]], one=0)
+
+
 def test_validate_reports_witness():
     table = np.array([[0, 1], [1, 0]], dtype=np.int32)
     m = FiniteMonoid(["1", "g"], table, one=0)
@@ -463,20 +473,14 @@ def test_builtin_tables_match_pairwise_construction():
 
 
 def test_index_dtype_is_the_smallest_that_holds_every_index():
-    for order, dtype in ((1, np.uint8), (256, np.uint8), (257, np.uint16),
-                         (65536, np.uint16), (65537, np.int32)):
+    # one rule for table entries (below the order) and for flat positions
+    # (below the table's size): the last position of a 65 536-element
+    # table, 2^32 - 1, needs uint32
+    for order, dtype in ((1, np.uint8), (256, np.uint8), (257, np.uint16), (65536, np.uint16),
+                         (65537, np.uint32), (65536 ** 2, np.uint32),
+                         (65536 ** 2 + 1, np.intp)):
         assert index_dtype(order) is dtype
         assert np.iinfo(dtype).max >= order - 1
-
-
-def test_position_dtype_is_the_smallest_unsigned_that_holds_every_position():
-    for size, dtype in ((1, np.uint8), (256, np.uint8), (257, np.uint16), (65536, np.uint16),
-                        (65537, np.uint32), (1 << 32, np.uint32), ((1 << 32) + 1, np.intp)):
-        assert position_dtype(size) is dtype
-        assert np.iinfo(dtype).max >= size - 1
-    # index_dtype turns signed past 65 536, so it could not hold the last
-    # position of a 65 536-element table, 2^32 - 1
-    assert index_dtype(65536 ** 2) is np.int32 and np.iinfo(np.int32).max < 65536 ** 2 - 1
 
 
 # tables on both sides of 2^8 and 2^16 cells, square (16/17 and 256/257

@@ -27,8 +27,8 @@ from monvar.varieties import (
     K_LHS,
     K_RHS,
     UNKNOWN,
+    _CYCLIC_RULES,
     _POOL,
-    _RULE_MODELS,
     Bounds,
     VarietySpec,
     catalog,
@@ -352,7 +352,7 @@ def test_refutations_match_a_scan_of_the_refutation_models(name, lhs, rhs):
 def test_each_cyclic_row_is_its_monoid():
     # generator, order and powers of each pool row and rule model, against the table
     specs = [lookup(name) for name in ("SL", "C2", "C3", "C4", "A2", "A3", "A5")]
-    rule_rows = [_RULE_MODELS[spec.rule](spec.param) for spec in specs]
+    rule_rows = [_CYCLIC_RULES[spec.rule][0](spec.param) for spec in specs]
     for row in (*_POOL, *rule_rows):
         m = row.monoid()
         assert (m.names[1], len(m)) == (row.generator, row.order)
