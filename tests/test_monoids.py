@@ -473,14 +473,22 @@ def test_builtin_tables_match_pairwise_construction():
 
 
 def test_index_dtype_is_the_smallest_that_holds_every_index():
-    # one rule for table entries (below the order) and for flat positions
-    # (below the table's size): the last position of a 65 536-element
-    # table, 2^32 - 1, needs uint32
-    for order, dtype in ((1, np.uint8), (256, np.uint8), (257, np.uint16), (65536, np.uint16),
-                         (65537, np.uint32), (65536 ** 2, np.uint32),
-                         (65536 ** 2 + 1, np.intp)):
+    # the entries of a table of `order` elements
+    for order, dtype in ((1, np.uint8), (256, np.uint8), (257, np.uint16),
+                         (65536, np.uint16), (65537, np.uint32)):
         assert index_dtype(order) is dtype
         assert np.iinfo(dtype).max >= order - 1
+
+
+def test_position_dtype_is_the_smallest_unsigned_that_holds_every_position():
+    # the flat positions of a table's cells follow the same rule, applied to
+    # the table's size: the last position of a 65 536-element table,
+    # 2^32 - 1, needs uint32
+    for size, dtype in ((1, np.uint8), (256, np.uint8), (257, np.uint16), (65536, np.uint16),
+                        (65537, np.uint32), (1 << 32, np.uint32), ((1 << 32) + 1, np.intp)):
+        assert index_dtype(size) is dtype
+        assert np.iinfo(dtype).max >= size - 1
+    assert index_dtype(65536 ** 2) is np.uint32
 
 
 # tables on both sides of 2^8 and 2^16 cells, square (16/17 and 256/257
