@@ -11,6 +11,16 @@ of two partitions is their common refinement and the join is the transitive
 closure of their union (Ore, "Theory of equivalence relations", 1942), both
 worked one table row at a time so temporaries stay O(n k^2).
 
+A lattice's distributivity is decided once, on the first query that needs
+it, and the verdict is kept on the lattice; the order and both tables are
+read-only, so it cannot go stale.  In a distributive lattice every element
+is neutral and so modular, cancellable and costandard (Birkhoff, "Rings of
+sets", 1937), and the lattice is modular: `classify_element` and
+`is_modular_lattice` answer such a lattice from its verdict, and the
+element scans below run only on the others.  The whole-lattice scans read
+the tables with `take`, which reads a compact index array directly, where
+subscripting would first cast it to intp.
+
 The meet and join tables are symmetric, so the element tests read rows of
 them, never columns.  The modular failures of an element are its costandard
 failures at a <= b, so `classify_element` builds one n x n matrix for both.
@@ -58,13 +68,14 @@ class FiniteLattice:
     `leq` is the full reflexive-transitive order matrix; meet and join
     tables are derived on construction, in `index_dtype(len(names))`,
     raising NotALattice with the offending pair if either is missing
-    somewhere (every meet is checked before any join).
+    somewhere (every meet is checked before any join).  `leq`, `meet` and
+    `join` are read-only.
     """
 
     def __init__(self, names, leq):
         self._set_order(names, leq)
-        self.meet = _meet_table(self.names, self.leq, "meet")
-        self.join = _meet_table(self.names, self.leq.T, "join")  # meets of the dual order
+        self._set_tables(_meet_table(self.names, self.leq, "meet"),
+                         _meet_table(self.names, self.leq.T, "join"))  # meets of the dual order
 
     @classmethod
     def _from_tables(cls, names, leq, meet, join) -> "FiniteLattice":
@@ -73,7 +84,7 @@ class FiniteLattice:
         lat = cls.__new__(cls)
         lat._set_order(names, leq)
         dtype = index_dtype(len(lat.names))
-        lat.meet, lat.join = meet.astype(dtype), join.astype(dtype)
+        lat._set_tables(meet.astype(dtype), join.astype(dtype))
         return lat
 
     def _set_order(self, names, leq):
@@ -96,6 +107,14 @@ class FiniteLattice:
             raise ValueError("order matrix must be transitively closed")
         self.names = names
         self.leq = leq
+
+    def _set_tables(self, meet, join):
+        """Keep both tables and make them and the order read-only, so the
+        distributivity verdict kept beside them cannot go stale."""
+        for table in (self.leq, meet, join):
+            table.flags.writeable = False
+        self.meet, self.join = meet, join
+        self._distributive = None  # the Check of is_distributive_lattice, once decided
 
     @classmethod
     def from_covers(cls, names, covers):
@@ -214,21 +233,6 @@ def _cancellable(lat: FiniteLattice, x: int) -> Check:
     return _verdict(lat, same)
 
 
-def is_modular_element(lat: FiniteLattice, element) -> Check:
-    """a <= b must force (x v a) ^ b == (x ^ b) v a; witness is a bad (a, b)."""
-    return _verdict(lat, _costandard_failures(lat, lat.index(element)) & lat.leq)
-
-
-def is_cancellable_element(lat: FiniteLattice, element) -> Check:
-    """Joining and meeting with the element must separate distinct elements."""
-    return _cancellable(lat, lat.index(element))
-
-
-def is_costandard_element(lat: FiniteLattice, element) -> Check:
-    """a v (x ^ b) == (a v x) ^ (a v b) for all a, b; witness is a bad (a, b)."""
-    return _verdict(lat, _costandard_failures(lat, lat.index(element)))
-
-
 @dataclass(frozen=True, slots=True)
 class ElementReport:
     element: str
@@ -238,34 +242,72 @@ class ElementReport:
 
 
 def classify_element(lat: FiniteLattice, element) -> ElementReport:
-    """The three element tests in one pass: the modular failures are the
-    costandard failures at a <= b, so one matrix serves both."""
+    """The three element tests in one pass.
+
+    In a distributive lattice every element is neutral, so it passes all
+    three (Birkhoff 1937; Gratzer, Lattice Theory: Foundation, 2011,
+    III.2), and the report is read off the lattice's distributivity
+    verdict.  Otherwise `_element_report` runs the element kernel."""
     x = lat.index(element)
+    if is_distributive_lattice(lat):
+        return ElementReport(lat.names[x], _PASS, _PASS, _PASS)
+    return _element_report(lat, x)
+
+
+def _element_report(lat: FiniteLattice, x: int) -> ElementReport:
+    """The element kernel, on any lattice: the modular failures are the
+    costandard failures at a <= b, so one matrix serves both."""
     bad = _costandard_failures(lat, x)
     costandard = _verdict(lat, bad)
     modular = costandard if costandard.ok else _verdict(lat, bad & lat.leq)
     return ElementReport(lat.names[x], modular, _cancellable(lat, x), costandard)
 
 
+def is_modular_element(lat: FiniteLattice, element) -> Check:
+    """a <= b must force (x v a) ^ b == (x ^ b) v a; witness is a bad (a, b)."""
+    return classify_element(lat, element).modular
+
+
+def is_cancellable_element(lat: FiniteLattice, element) -> Check:
+    """Joining and meeting with the element must separate distinct elements."""
+    return classify_element(lat, element).cancellable
+
+
+def is_costandard_element(lat: FiniteLattice, element) -> Check:
+    """a v (x ^ b) == (a v x) ^ (a v b) for all a, b; witness is a bad (a, b)."""
+    return classify_element(lat, element).costandard
+
+
 def is_modular_lattice(lat: FiniteLattice) -> Check:
-    """Witness on failure is a triple (a, x, b) with a <= b breaking the law."""
+    """Witness on failure is a triple (a, x, b) with a <= b breaking the law.
+
+    A distributive lattice is modular, so its verdict answers first."""
+    if is_distributive_lattice(lat):
+        return _PASS
     for a in range(len(lat)):
-        lhs = lat.join[a][lat.meet]  # [x, b] -> a v (x ^ b)
-        rhs = lat.meet[lat.join[a]]  # [x, b] -> (a v x) ^ b
+        lhs = lat.join[a].take(lat.meet)  # [x, b] -> a v (x ^ b)
+        rhs = lat.meet.take(lat.join[a], axis=0)  # [x, b] -> (a v x) ^ b
         if not (res := _verdict(lat, (lhs != rhs) & lat.leq[a][None, :], a)):
             return res
     return _PASS
 
 
 def is_distributive_lattice(lat: FiniteLattice) -> Check:
-    """Witness on failure is (x, y, z) with x ^ (y v z) != (x ^ y) v (x ^ z)."""
-    for x in range(len(lat)):
-        mx = lat.meet[x]
-        lhs = mx[lat.join]  # [y, z] -> x ^ (y v z)
-        rhs = gather(lat.join, mx[:, None], mx[None, :])  # [y, z] -> (x^y) v (x^z)
-        if not (res := _verdict(lat, lhs != rhs, x)):
-            return res
-    return _PASS
+    """Witness on failure is (x, y, z) with x ^ (y v z) != (x ^ y) v (x ^ z).
+
+    The verdict is scanned over x, stopping at the first failing x, on the
+    first call and kept on the lattice, so every later call returns the
+    same object."""
+    if lat._distributive is None:
+        res = _PASS
+        for x in range(len(lat)):
+            mx = lat.meet[x]
+            lhs = mx.take(lat.join)  # [y, z] -> x ^ (y v z)
+            rhs = lat.join[mx][:, mx]  # [y, z] -> (x ^ y) v (x ^ z)
+            if not (res := _verdict(lat, lhs != rhs, x)):
+                break
+        lat._distributive = res
+    return lat._distributive
 
 
 # ---------------------------------------------------------------------------

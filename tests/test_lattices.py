@@ -13,6 +13,7 @@ from monvar.lattices import (
     FiniteLattice,
     NotALattice,
     Partition,
+    _element_report,
     all_partitions,
     classify_element,
     fixtures,
@@ -97,6 +98,14 @@ def test_meet_join_cohere_with_order():
             le = bool(lat.leq[i, j])
             assert le == (lat.meet[i, j] == i)
             assert le == (lat.join[i, j] == j)
+
+
+@pytest.mark.parametrize("lat", [_chain(3), partition_lattice(3)], ids=["order", "blocks"])
+def test_order_and_tables_are_read_only(lat):
+    # both construction paths: tables from the order, and tables given with it
+    for table in (lat.leq, lat.meet, lat.join):
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = table[0, 0]
 
 
 def _bound_oracle(n, below, i, j):
@@ -191,11 +200,22 @@ _N5 = FiniteLattice.from_covers("0 a b c 1".split(),
                                 [("0", "a"), ("a", "b"), ("b", "1"), ("0", "c"), ("c", "1")])
 _NAMED = ("fig1", "fig2", "chainD", "part:2", "part:3", "part:4", "part:5")
 
+
+def _birkhoff(lat):
+    """`lat`, once its distributivity is asserted: the down-sets of an order
+    form a distributive lattice (Birkhoff 1937)."""
+    assert is_distributive_lattice(lat) == Check(True)
+    return lat
+
+
 # down-set lattices of 17 to 120 elements: past 16 elements a uint8
-# join[x] * n would wrap
+# join[x] * n would wrap.  They are distributive, so `classify_element`
+# answers them from that verdict; the tests below run the element kernel,
+# `_element_report`, on them as well.
 _DOWNSETS = st.integers(5, 7).flatmap(lambda m: st.lists(
     st.tuples(st.integers(0, m - 1), st.integers(0, m - 1)).filter(lambda r: r[0] < r[1]),
-    max_size=m).map(lambda rel: _downset_lattice(m, rel))).filter(lambda lat: 17 <= len(lat) <= 120)
+    max_size=m).map(lambda rel: _downset_lattice(m, rel))).filter(
+    lambda lat: 17 <= len(lat) <= 120).map(_birkhoff)
 
 
 def test_element_kernel_matches_the_n_by_n_formulas():
@@ -210,6 +230,7 @@ def test_element_kernel_matches_the_n_by_n_formulas():
                                       max_size=8, unique=True))
         for x in elements:
             want = _reference_report(lat, x)
+            assert _element_report(lat, x) == want
             assert classify_element(lat, x) == want
             assert is_modular_element(lat, x) == want.modular
             assert is_cancellable_element(lat, x) == want.cancellable
@@ -218,7 +239,8 @@ def test_element_kernel_matches_the_n_by_n_formulas():
                         for prop in ("modular", "cancellable", "costandard"))
 
     check()
-    # both verdicts of each test, in lattices past 16 elements too
+    # both verdicts of each test, in lattices past 16 elements too, each
+    # compared with the kernel
     assert seen == {(prop, ok, big) for prop in ("modular", "cancellable", "costandard")
                     for ok in (True, False) for big in (True, False)}
 
@@ -263,16 +285,59 @@ def test_element_tests_match_a_loop_over_the_definitions(name):
     for lat in lats:
         for x in range(len(lat)):
             want = _python_report(lat, x)
+            assert _element_report(lat, x) == want
             assert classify_element(lat, x) == want
             assert is_modular_element(lat, x) == want.modular
             assert is_cancellable_element(lat, x) == want.cancellable
             assert is_costandard_element(lat, x) == want.costandard
 
 
+def _python_global_checks(lat):
+    """Whole-lattice modularity and distributivity by their definitions,
+    over the tables as Python lists, each a loop over the lead element and
+    then a pair in row-major order: the first bad triple is the witness."""
+    n, meet, join, leq = len(lat), lat.meet.tolist(), lat.join.tolist(), lat.leq.tolist()
+
+    def first(bad):
+        triple = next(((u, v, w) for u in range(n) for v in range(n) for w in range(n)
+                       if bad(u, v, w)), None)
+        return Check(True) if triple is None else \
+            Check(False, tuple(lat.names[k] for k in triple))
+
+    modular = first(lambda a, x, b: leq[a][b] and join[a][meet[x][b]] != meet[join[a][x]][b])
+    distributive = first(lambda x, y, z: meet[x][join[y][z]] != join[meet[x][y]][meet[x][z]])
+    return modular, distributive
+
+
+@pytest.mark.parametrize("name", ["fig1", "fig2", "chainD", "M3", "N5", "part:2", "part:3",
+                                  "part:4", "part:5", "downsets"])
+def test_global_checks_match_a_loop_over_the_definitions(name):
+    typed = {"M3": _M3, "N5": _N5}
+    if name == "downsets":
+        lats = _seeded_downsets(7, 3)
+    else:
+        lats = [typed[name] if name in typed else named_lattice(name)]
+    for lat in lats:
+        modular, distributive = _python_global_checks(lat)
+        assert is_modular_lattice(lat) == modular
+        assert is_distributive_lattice(lat) == distributive
+        assert distributive.ok or name != "downsets"  # Birkhoff
+
+
+def test_distributivity_is_decided_once():
+    lat = partition_lattice(4)
+    verdict = is_distributive_lattice(lat)
+    assert not verdict
+    assert is_distributive_lattice(lat) is verdict
+    assert not is_modular_lattice(lat)
+    assert is_distributive_lattice(lat) is verdict
+
+
 def test_passing_checks_share_one_object():
     lat = fixtures()["chainD"]
-    rep = classify_element(lat, lat.top)
-    assert rep.modular is rep.cancellable is rep.costandard is is_modular_element(lat, 0)
+    # a chain is distributive: the report from its verdict and the kernel's
+    for rep in (classify_element(lat, lat.top), _element_report(lat, lat.index(lat.top))):
+        assert rep.modular is rep.cancellable is rep.costandard is is_modular_element(lat, 0)
     assert not hasattr(rep, "__dict__") and not hasattr(rep.modular, "__dict__")
 
 
@@ -316,9 +381,9 @@ def test_fig2_modular_not_distributive():
 
 def test_chain_elements_have_every_property():
     lat = fixtures()["chainD"]
-    for name in lat.names:
-        rep = classify_element(lat, name)
-        assert rep.modular and rep.cancellable and rep.costandard
+    for x, name in enumerate(lat.names):
+        for rep in (classify_element(lat, name), _element_report(lat, x)):
+            assert rep.modular and rep.cancellable and rep.costandard
 
 
 def test_bottom_and_top_are_costandard():
