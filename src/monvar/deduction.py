@@ -70,15 +70,14 @@ def system(*specs, name: str | None = None) -> IdentitySystem:
     return IdentitySystem(idents, name)
 
 
-def parse_identity_system(text: str, name: str | None = None) -> IdentitySystem:
+def parse_identity_system(text: str) -> IdentitySystem:
     """File format: one identity per line, '#' comments, optional 'name:' header."""
     idents = []
-    named = False
+    name = None
     for _, line in data_lines(text):
         if line.startswith("name:"):
-            if named:
+            if name is not None:
                 raise ParseError("duplicate name: line")
-            named = True
             name = line[len("name:"):].strip()
             continue
         idents.append(parse_identity(line))

@@ -3,7 +3,7 @@
 Provides brute-force (but vectorized) tests for modular, cancellable and
 costandard elements, whole-lattice modularity/distributivity with witness
 triples, partition lattices under refinement, and the bundled example
-lattices shipped as data files.
+lattices shipped as data files, each parsed on its first read.
 
 The meet and join tables of a lattice given by its order come from
 `_meet_table`.  Those of a partition lattice come from the blocks: the meet
@@ -32,8 +32,8 @@ witness.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import lru_cache
 from importlib import resources
 
 from .lazy import gather, index_dtype, np
@@ -448,20 +448,45 @@ def load_lattice(path) -> FiniteLattice:
 _FIXTURE_FILES = {"fig1": "fig1.lat", "fig2": "fig2.lat", "chainD": "chain_d.lat"}
 
 
-@lru_cache(maxsize=None)
-def fixtures() -> dict:
-    """The bundled example lattices, keyed fig1 / fig2 / chainD."""
-    out = {}
-    data = resources.files("monvar") / "data"
-    for key, fname in _FIXTURE_FILES.items():
-        out[key] = parse_lattice((data / fname).read_text(encoding="utf-8"))
-    return out
+class _Bundled(Mapping):
+    """The bundled lattices, read-only: each is parsed from its data file on
+    its first read and kept, so every read of a key returns one object."""
+
+    def __init__(self):
+        self._parsed = {}
+
+    def __getitem__(self, key) -> FiniteLattice:
+        if key not in self._parsed:
+            path = resources.files("monvar") / "data" / _FIXTURE_FILES[key]
+            self._parsed[key] = parse_lattice(path.read_text(encoding="utf-8"))
+        return self._parsed[key]
+
+    def __contains__(self, key):
+        return key in _FIXTURE_FILES  # parses nothing, unlike Mapping's
+
+    def __iter__(self):
+        return iter(_FIXTURE_FILES)
+
+    def __len__(self):
+        return len(_FIXTURE_FILES)
+
+
+_FIXTURES = _Bundled()
+
+
+def fixtures() -> Mapping[str, FiniteLattice]:
+    """The bundled example lattices, keyed fig1 / fig2 / chainD: one
+    read-only Mapping that parses a lattice on its first read, so a caller
+    that reads one of them parses only that file."""
+    return _FIXTURES
 
 
 def named_lattice(name: str) -> FiniteLattice:
     """A builtin lattice: fig1, fig2, chainD or part:<k>.
 
-    Raises KeyError for any other name."""
+    A bundled lattice is the object `fixtures()` holds, parsed on its first
+    read; part:<k> is built anew on each call.  Raises KeyError for any
+    other name."""
     if name in _FIXTURE_FILES:
         return fixtures()[name]
     if name.startswith("part:"):

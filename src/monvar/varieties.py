@@ -1,19 +1,20 @@
 """Catalog of named monoid varieties and their decision procedures.
 
 Each entry carries a defining identity basis and/or a generating finite
-monoid, plus a decision rule tag.  The cyclic commutative rule entries
+monoid, plus a decision rule tag.  Every catalog model is given as a
+zero-argument builder, called on the first read of `model` and kept, so
+`catalog` and `lookup` build no table.  The cyclic commutative rule entries
 (SL, COM, C<n>, A<m>) are rows of one table: each is decided, and a
 failure witnessed, by the occurrence counts in its generating monoid (for
-COM a counter past the first differing count), with no table, and the
-monoid is built only when read.  LRB is decided by initial parts and
-witnessed in its generating monoid.  Finite-model entries are decided by
-exhaustive model checking; the rest fall back to bounded deduction plus a
-fixed pool of five cyclic commutative monoids, those that satisfy the basis,
-which refute from occurrence counts too, answering unknown honestly when
-both are silent.  Word-level work, refutations included, never builds a
-table.  The `monoids` module is bound as the package binds it, executed on
-first use, and only a table reads it, so a deduction-only verdict runs
-neither `monoids` nor numpy.
+COM a counter past the first differing count), with no table.  LRB is
+decided by initial parts and its model is read only to witness a failure.
+Finite-model entries are decided by exhaustive model checking; the rest
+fall back to bounded deduction plus a fixed pool of five cyclic commutative
+monoids, those that satisfy the basis, which refute from occurrence counts
+too, answering unknown honestly when both are silent.  Word-level work,
+refutations included, never builds a table.  The `monoids` module is bound
+as the package binds it, executed on first use, and only a table reads it,
+so a verdict that reads no model runs neither `monoids` nor numpy.
 """
 
 from __future__ import annotations
@@ -51,16 +52,15 @@ class Verdict:
 
 
 class _Model:
-    """The `model` field of VarietySpec: the monoid given, or for an SL, C<n>
-    or A<m> spec given none, the monoid of its cyclic row, built on the
-    first read and kept, so every read returns the same object.  Their
-    verdicts read the row, not the model, and so build no table."""
+    """The `model` field of VarietySpec: the monoid given, or, when given a
+    zero-argument builder, the monoid it returns, built on the first read
+    and kept, so every read returns the same object."""
 
     def __get__(self, spec, owner=None):
         if spec is None:
             return None  # the field's default
-        if spec._model is None and spec.rule in (RULE_SL, RULE_CN, RULE_AM):
-            spec._model = _CYCLIC_RULES[spec.rule][0](spec.param).monoid()
+        if callable(spec._model):
+            spec._model = spec._model()
         return spec._model
 
     def __set__(self, spec, model):
@@ -69,9 +69,13 @@ class _Model:
 
 @dataclass
 class VarietySpec:
+    """A named variety: a basis, a generating monoid, or both, and the rule
+    that decides its word problem.  `model` takes the monoid or a
+    zero-argument builder of it, called on the first read of `model`."""
+
     name: str
     basis: IdentitySystem | None = None
-    model: monoids.FiniteMonoid | None = _Model()
+    model: monoids.FiniteMonoid | Callable[[], monoids.FiniteMonoid] | None = _Model()
     rule: str = RULE_DEDUCTION
     param: int | None = None
 
@@ -142,6 +146,11 @@ def enumerate_W(exponents=(2, 3)):
 # catalog
 
 
+def _named(name: str) -> Callable[[], monoids.FiniteMonoid]:
+    """A builder of `named_monoid(name)`, which runs `monoids` only when called."""
+    return lambda: monoids.named_monoid(name)
+
+
 @lru_cache(maxsize=None)
 def _semilattice_2():
     return monoids.from_table(["1", "e"], [["1", "e"], ["e", "e"]], "1")
@@ -155,25 +164,25 @@ def model_contains_basis(m: monoids.FiniteMonoid, basis: IdentitySystem) -> bool
     return all(monoids.find_counterexample(m, ident) is None for ident in basis)
 
 
-# name -> the fixed entry's settings, built on the entry's first lookup
+# name -> the fixed entry's settings, built on the entry's first lookup; each
+# model is a builder, called on the first read of the spec's `model`
 _FIXED = {
-    "T": lambda: dict(basis=system("x=1"), model=monoids.named_monoid("group:1"),
-                      rule=RULE_MODEL),
-    "SL": lambda: dict(basis=system("x2=x", "xy=yx"), rule=RULE_SL),
+    "T": lambda: dict(basis=system("x=1"), model=_named("group:1"), rule=RULE_MODEL),
+    "SL": lambda: dict(basis=system("x2=x", "xy=yx"), model=_SEMILATTICE.monoid,
+                       rule=RULE_SL),
     "COM": lambda: dict(basis=system("xy=yx"), rule=RULE_COM),
     "MON": lambda: dict(basis=IdentitySystem(frozenset(), "MON")),
     "D": lambda: dict(basis=system("x2=x3", "x2y=xyx", "xyx=yx2", name="D")),
     "D2": lambda: dict(basis=system("x3=x2", *_D2_RVROP_COMMON, name="D2"),
-                       model=monoids.named_monoid("D2"), rule=RULE_MODEL),
+                       model=_named("D2"), rule=RULE_MODEL),
     "E": lambda: dict(basis=system("x2=x3", "x2y=xyx", "x2y2=y2x2", name="E")),
     "K": lambda: dict(basis=system(K_IDENTITY, name="K")),
-    "LRB": lambda: dict(basis=system("xy=xyx"), model=monoids.named_monoid("lrb:3"),
-                        rule=RULE_LRB),
+    "LRB": lambda: dict(basis=system("xy=xyx"), model=_named("lrb:3"), rule=RULE_LRB),
     "Q": lambda: dict(basis=system("yxyzxy=yxzxyxz", name="Q")),
-    "R": lambda: dict(model=monoids.named_monoid("R"), rule=RULE_MODEL),
-    "Rop": lambda: dict(model=monoids.named_monoid("Rop"), rule=RULE_MODEL),
+    "R": lambda: dict(model=_named("R"), rule=RULE_MODEL),
+    "Rop": lambda: dict(model=_named("Rop"), rule=RULE_MODEL),
     "RvRop": lambda: dict(basis=system("x4=x3", *_D2_RVROP_COMMON, name="RvRop"),
-                          model=monoids.named_monoid("RxRop"), rule=RULE_MODEL),
+                          model=_named("RxRop"), rule=RULE_MODEL),
 }
 
 
@@ -187,7 +196,7 @@ def variety_C(n: int) -> VarietySpec:
     if n < 2:
         raise ValueError("variety_C needs n >= 2")
     basis = system(f"x{n}=x{n + 1}", "xy=yx", name=f"C{n}")
-    return VarietySpec(f"C{n}", basis=basis, rule=RULE_CN, param=n)
+    return VarietySpec(f"C{n}", basis=basis, model=_counter(n).monoid, rule=RULE_CN, param=n)
 
 
 def variety_B(n: int) -> VarietySpec:
@@ -202,7 +211,7 @@ def variety_A(m: int) -> VarietySpec:
         raise ValueError("variety_A needs m >= 1")
     # parsed, so an x^m past MAX_WORD_LEN is refused
     basis = system("xy=yx", f"x{m}=1", name=f"A{m}")
-    return VarietySpec(f"A{m}", basis=basis, rule=RULE_AM, param=m)
+    return VarietySpec(f"A{m}", basis=basis, model=_group(m).monoid, rule=RULE_AM, param=m)
 
 
 def variety_Z(n: int, v: str) -> VarietySpec:
@@ -222,9 +231,10 @@ def lookup(name: str) -> VarietySpec:
     """Resolve a catalog or family name (C7, B2, A5, Z:2:xy, underscores ok).
 
     A fixed entry is built on its first lookup, and every later lookup
-    returns that same spec; a family name builds a new spec each time.  The
-    generating monoid of SL, C<n> and A<m> is built on the first read of
-    `model`, which no verdict makes; every other model with its spec."""
+    returns that same spec; a family name builds a new spec each time.  No
+    lookup builds a monoid: a spec's generating monoid is built on the
+    first read of its `model`.  A finite-model verdict reads it, and so does
+    an LRB failure, to name its counterexample; no cyclic rule verdict does."""
     key = name.replace("_", "").strip()
     if key in _FIXED:
         return _fixed_entry(key)
@@ -244,7 +254,8 @@ def lookup(name: str) -> VarietySpec:
 
 
 def catalog() -> dict[str, VarietySpec]:
-    """All fixed named entries plus the smallest family instances."""
+    """All fixed named entries plus the smallest family instances, their
+    models unbuilt, as `lookup` returns them."""
     out = {name: _fixed_entry(name) for name in _FIXED}
     for spec in (variety_C(2), variety_C(3), variety_B(2), variety_A(2)):
         out[spec.name] = spec
@@ -287,13 +298,12 @@ class _Cyclic:
 
 def _counter(n: int) -> _Cyclic:
     """counter:n, 1, a, ..., a^(n-1), 0: the count capped at n."""
-    return _Cyclic(lambda k: min(k, n), n + 1, "a",
-                   lambda: monoids.named_monoid(f"counter:{n}"))
+    return _Cyclic(lambda k: min(k, n), n + 1, "a", _named(f"counter:{n}"))
 
 
 def _group(m: int) -> _Cyclic:
     """group:m, 1, g, ..., g^(m-1): the count mod m."""
-    return _Cyclic(lambda k: k % m, m, "g", lambda: monoids.named_monoid(f"group:{m}"))
+    return _Cyclic(lambda k: k % m, m, "g", _named(f"group:{m}"))
 
 
 _SEMILATTICE = _Cyclic(lambda k: min(k, 1), 2, "e", _semilattice_2)

@@ -42,6 +42,13 @@ def test_check_com_witness_beyond_search_cap_is_built(capsys):
     assert "counterexample: t -> 1, x -> a, y -> 1, z -> 1" in out
 
 
+def test_lrb_failure_names_its_counterexample_in_the_model(capsys):
+    code, out, _ = run(capsys, "check", "LRB", "xy=yx")
+    assert code == 1
+    assert out == ("LRB |- xy=yx: fails\n  initial parts differ: xy vs yx\n"
+                   "  counterexample: x -> x, y -> y\n")
+
+
 def test_check_rule_verdict_searches_its_model_up_to_the_guard(capsys):
     # 16^6 cells: inside the shared 2*10^8 guard, so the witness is printed
     code, out, _ = run(capsys, "check", "LRB", "xyztab=yxztab")
@@ -438,6 +445,12 @@ def test_verify_paper_builds_a_failure_message_inside_a_loop(monkeypatch, capsys
     (["check", "SL", "x2=x2y"], False),
     (["check", "A3", "y=x"], False),
     (["check", "C2", "x=x2"], False),
+    # catalog models are built on first read: an LRB verdict that holds and a
+    # derivation from a model entry's basis read none, a failure names its
+    # counterexample in the LRB model
+    (["check", "LRB", "xy=xyx"], False),
+    (["derive", "x3", "x2", "--system", "D2"], False),
+    (["check", "LRB", "xy=yx"], True),
 ])
 def test_only_table_commands_execute_numpy(argv, loads_numpy):
     script = "\n".join([

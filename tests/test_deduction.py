@@ -63,8 +63,9 @@ def test_parse_identity_system_format():
 def test_parse_identity_system_refuses_a_repeated_name_line():
     with pytest.raises(ParseError, match="duplicate name: line"):
         parse_identity_system("name: A\nname: B\nx2=x3\n")
-    # a name argument may still be overridden by one name: line
-    assert parse_identity_system("name: A\nx2=x3\n", name="B").name == "A"
+    with pytest.raises(ParseError, match="duplicate name: line"):
+        parse_identity_system("name:\nname: B\nx2=x3\n")  # an empty name is a name line
+    assert parse_identity_system("name: A\nx2=x3\n").name == "A"
 
 
 def test_load_identity_system(tmp_path):

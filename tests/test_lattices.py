@@ -1,11 +1,13 @@
 import itertools
 import tracemalloc
+from collections.abc import Mapping, MutableMapping
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from monvar import lattices
 from monvar.lattices import (
     Check,
     CycleError,
@@ -87,6 +89,30 @@ def test_fixture_sizes():
     assert len(fx["fig1"]) == 10
     assert len(fx["fig2"]) == 11
     assert len(fx["chainD"]) == 4
+
+
+def test_fixtures_is_a_read_only_mapping_parsed_on_first_read(monkeypatch):
+    fx = fixtures()
+    assert isinstance(fx, Mapping) and not isinstance(fx, MutableMapping)
+    assert list(fx) == ["fig1", "fig2", "chainD"] and len(fx) == 3
+    assert fixtures() is fx
+    for name in fx:
+        assert fx[name] is fx[name] is fixtures()[name] is named_lattice(name)
+    with pytest.raises(TypeError):
+        fx["fig1"] = fx["fig2"]
+    with pytest.raises(KeyError):
+        fx["part:3"]
+    # a fresh mapping parses each file on the first read of its key, once
+    calls = []
+    parse = lattices.parse_lattice
+    monkeypatch.setattr(lattices, "parse_lattice", lambda text: calls.append(text) or parse(text))
+    fresh = type(fx)()
+    assert len(fresh) == 3 and "fig2" in fresh and not calls
+    lat = fresh["fig2"]
+    assert len(calls) == 1 and len(lat) == 11
+    assert fresh["fig2"] is lat and len(calls) == 1
+    fresh["chainD"]
+    assert len(calls) == 2
 
 
 def test_meet_join_cohere_with_order():

@@ -81,12 +81,22 @@ def test_fixed_entries_are_built_once():
 
 
 def test_looking_up_a_deduction_entry_builds_no_monoid():
-    # named_monoid is a process-wide cache, so ask a fresh interpreter
+    # named_monoid is a process-wide cache, so ask a fresh interpreter.  No
+    # lookup builds a model and fixtures() parses no lattice, so numpy stays
+    # unloaded; the first read of a model builds that one monoid
     script = "\n".join([
+        "import sys",
+        "from monvar.lattices import fixtures",
+        "from monvar.varieties import catalog, lookup",
+        "catalog()",
+        f"for name in {FIXED!r}:",
+        "    lookup(name)",
+        "fixtures()",
+        "print('numpy._core' in sys.modules)",
         "from monvar.monoids import named_monoid",
-        "from monvar.varieties import lookup",
-        "lookup('D')",
         "print(named_monoid.cache_info().currsize)",
+        "d2 = lookup('D2').model",
+        "print(named_monoid.cache_info().currsize, d2 is named_monoid('D2'))",
     ])
     src = str(Path(monvar.__file__).resolve().parents[1])
     path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
@@ -94,7 +104,7 @@ def test_looking_up_a_deduction_entry_builds_no_monoid():
     done = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["0"]
+    assert done.stdout.splitlines() == ["False", "0", "1 True"]
 
 
 def test_rule_models_are_built_on_their_first_read():
