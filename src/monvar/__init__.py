@@ -34,7 +34,7 @@ _PUBLIC = {
         "direct_product", "find_counterexample", "free_lrb_monoid", "from_presentation",
         "from_table", "is_commutative", "is_completely_regular", "load_monoid",
         "monoid_index_period", "named_monoid", "opposite", "parse_presentation",
-        "parse_table", "presentation",
+        "parse_table", "presentation", "relatively_free",
     ),
     "varieties": (
         "FAILS", "HOLDS", "Verdict", "VarietySpec", "catalog", "decide_identity",

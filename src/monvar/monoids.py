@@ -10,9 +10,15 @@ applied to a fixpoint.  The table is composed from the right Cayley graph
 of the normal forms (Froidure & Pin 1997), and a table that breaks a
 defining relation or associativity is refused.  Associativity is
 checked with Light's test over a generating set, O(n^2) per generator.
-Identities are checked over the assignment cube in lexicographic chunks
-of at most 2^20 cells, stopping at the first violation, so memory does
-not grow with n^k.
+A stored table is read-only.  Identities are checked over the assignment
+cube in lexicographic chunks of at most 2^20 cells, stopping at the first
+violation, so memory does not grow with n^k.  `relatively_free(m, k)`
+builds F_k(M), the k-generated free object of var M, as the vectors of
+values over the n^k cube reached from the projections, and keeps it on
+the monoid per k; it is refused past 2^23 cells of vectors.  While one
+is kept, `find_counterexample` answers an identity of at most k letters
+from it by two walks through its right Cayley graph, with the same
+verdict and witness as the scan.  Nothing builds an F_k implicitly.
 """
 
 from __future__ import annotations
@@ -86,18 +92,23 @@ class FiniteMonoid:
     """Validated multiplication table with named elements.
 
     `table` is stored in `index_dtype(len(names))`; the entries of the
-    given table are range-checked before the cast, so none can wrap."""
+    given table are range-checked before the cast, so none can wrap.  The
+    stored table is read-only (a given array already in that dtype is
+    stored as it is, and so is made read-only too), so the relatively free
+    monoids kept beside it cannot go stale."""
 
     def __init__(self, names, table, one: int, zero: int | None = None):
         self.names = tuple(names)
         self.one = one
         self.zero = zero
         self.factors: tuple[FiniteMonoid, ...] = ()  # set by direct_product
+        self._free: dict[int, RelativelyFree] = {}  # k -> F_k, kept by relatively_free
         if len(set(self.names)) != len(self.names):
             raise InvalidTable("element names are not distinct")
         table = np.asarray(table)
         self._check_entries(table)
         self.table = np.ascontiguousarray(table, dtype=index_dtype(len(self.names)))
+        self.table.flags.writeable = False
         self._check_laws()
 
     def __len__(self):
@@ -438,6 +449,93 @@ def _guard(m: FiniteMonoid, letters, allow_large: bool):
 
 
 _CHUNK_CELLS = 1 << 20
+# the most cells the vectors of one relatively free monoid may hold: F_3 of
+# lrb:4 (16 vectors of 65^3 cells) fits, F_3 of RxRop (about 18 M) does not
+_FREE_CELLS = 1 << 23
+
+
+class RelativelyFree:
+    """F_k(M), the k-generated free object of var M (Birkhoff 1935).
+
+    An element is the vector of the values that one word over k letters
+    takes under every assignment of the letters to elements of M: n^k
+    cells, the assignments in lexicographic order with the letters sorted,
+    stored as bytes in the table's dtype.  Element 0 is the constant vector
+    of `m.one` and generator g is the cube's g-th projection; the elements
+    are found breadth-first, each right multiple by one gather, and
+    `right[i][g]` is element i times generator g, the right Cayley graph
+    (Froidure & Pin 1997).  Two words over k letters are the same element
+    iff M satisfies the identity between them.  The build is refused with
+    SearchCapExceeded once the vectors would pass _FREE_CELLS cells."""
+
+    def __init__(self, m: FiniteMonoid, k: int):
+        if k < 0:
+            raise ValueError("relatively_free needs k >= 0")
+        self.monoid, self.k = m, k
+        self._shape = (len(m),) * k
+        cells = math.prod(self._shape)
+        self._refuse_past_cap(cells)
+        dtype = m.table.dtype
+        projections = np.indices(self._shape, dtype=dtype).reshape(k, cells)
+        self._vectors = [np.full(cells, m.one, dtype=dtype).tobytes()]
+        found = {self._vectors[0]: 0}
+        self.right: list[list[int]] = []
+        for vector in self._vectors:  # grows while it is read: the BFS queue
+            vector = np.frombuffer(vector, dtype=dtype)
+            row = []
+            for projection in projections:
+                key = gather(m.table, vector, projection).tobytes()
+                j = found.get(key)
+                if j is None:
+                    self._refuse_past_cap((len(self._vectors) + 1) * cells)
+                    j = found[key] = len(self._vectors)
+                    self._vectors.append(key)
+                row.append(j)
+            self.right.append(row)
+
+    def _refuse_past_cap(self, cells: int):
+        if cells > _FREE_CELLS:
+            raise SearchCapExceeded(
+                f"F_{self.k} of a monoid of order {len(self.monoid)} needs more than"
+                f" the cap of {_FREE_CELLS} cells")
+
+    def __len__(self):
+        return len(self._vectors)
+
+    def element(self, word: str, letters) -> int:
+        """The element of `word`, the g-th of `letters` sent to generator g."""
+        generator = {c: g for g, c in enumerate(letters)}
+        i = 0
+        for c in word:
+            i = self.right[i][generator[c]]
+        return i
+
+    def counterexample(self, ident: Identity) -> dict[str, str] | None:
+        """find_counterexample's answer for an identity of at most k letters.
+
+        The sorted letters go to the first generators, so the later letters
+        of the cube are free: the first cell where the two sides' vectors
+        differ holds the lexicographically first violating assignment."""
+        letters = sorted(ident.letters())
+        if len(letters) > self.k:
+            raise ValueError(f"{len(letters)} letters are more than F_{self.k} has")
+        i, j = self.element(ident.lhs, letters), self.element(ident.rhs, letters)
+        if i == j:
+            return None
+        left, right = (np.frombuffer(self._vectors[e], dtype=self.monoid.table.dtype)
+                       for e in (i, j))
+        cell = np.unravel_index(int((left != right).argmax()), self._shape)
+        return {c: self.monoid.names[int(a)] for c, a in zip(letters, cell)}
+
+
+def relatively_free(m: FiniteMonoid, k: int) -> RelativelyFree:
+    """F_k(M), built on the first call for each k and kept on m; every later
+    call returns the same object, and find_counterexample reads it for
+    identities of at most k letters."""
+    free = m._free.get(k)
+    if free is None:
+        free = m._free[k] = RelativelyFree(m, k)
+    return free
 
 
 def find_counterexample(m: FiniteMonoid, ident: Identity,
@@ -455,9 +553,18 @@ def find_counterexample(m: FiniteMonoid, ident: Identity,
     A product satisfies an identity iff every factor does (identities are
     preserved by products), so the factors are checked first, each under
     its own guard.  Only when one fails is the product's cube guarded and
-    scanned, for the product's own first witness."""
+    scanned, for the product's own first witness.
+
+    A monoid that keeps an F_k (`relatively_free`) with at least as many
+    generators as the identity has letters answers from it instead: the
+    same verdict and the same witness, without a scan."""
     if ident.trivial:
         return None
+    if m._free:  # the kept F_k with the fewest generators that covers the letters
+        j = len(ident.letters())
+        free = next((f for k, f in sorted(m._free.items()) if k >= j), None)
+        if free is not None:
+            return free.counterexample(ident)
     if m.factors and all(find_counterexample(f, ident, allow_large) is None
                          for f in m.factors):
         return None

@@ -116,17 +116,16 @@ OUTSIDE = "outside"
 # pins a run of length 1 and a free run has length at least 2
 _W_SHAPES = tuple((label, tuple((c, len(list(g)) == 1) for c, g in itertools.groupby(w)))
                   for label, w in ((W1, K_LHS), (W2, K_RHS)))
+# one pattern per shape: an exact run is its letter, a free run two or more;
+# neighbouring runs differ in letter, so a match splits a word into its runs
+_W_PATTERNS = tuple((label, re.compile("".join(c if exact else f"{c}{c}+" for c, exact in shape)))
+                    for label, shape in _W_SHAPES)
 
 
 def membership_in_W(word: str) -> str:
     """Classify into the two-sided family around the K identity."""
-    runs = [(c, len(list(g))) for c, g in itertools.groupby(word)]
-    for label, shape in _W_SHAPES:
-        if len(runs) != len(shape):
-            continue
-        ok = all(c == sc and (n == 1 if exact else n >= 2)
-                 for (c, n), (sc, exact) in zip(runs, shape))
-        if ok:
+    for label, pattern in _W_PATTERNS:
+        if pattern.fullmatch(word):
             return label
     return OUTSIDE
 

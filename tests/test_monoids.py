@@ -35,6 +35,7 @@ from monvar.monoids import (
     parse_presentation,
     parse_table,
     presentation,
+    relatively_free,
 )
 from monvar.words import Identity, ParseError, format_word, initial_part, parse_identity, reverse
 
@@ -726,7 +727,7 @@ def test_chunked_scan_matches_the_first_violation_oracle(monkeypatch):
         u = data.draw(words, label="u")
         v = data.draw(st.one_of(words, st.builds(
             lambda i, w: (u[:i] + w)[:6], st.integers(0, len(u)), words)), label="v")
-        m = named_monoid(name)
+        m = _twin(named_monoid(name))  # a builtin may keep an F_k, read instead of a scan
         ident = Identity(u, v)
         expected = _first_violation(m, ident)
         seen.add(expected is None)
@@ -770,6 +771,104 @@ def test_factor_decision_matches_the_full_scan():
 
     check()
     assert seen == {True, False}
+
+
+def _twin(m):
+    """A monoid equal to m that keeps no relatively free monoid."""
+    return FiniteMonoid(m.names, m.table, m.one, m.zero)
+
+
+def _seeded_monoids(count, seed=3101):
+    """The first `count` random presentations of a seeded stream that give
+    monoids of at most 13 elements (12 normal forms and a zero)."""
+    rng = random.Random(seed)
+    found = []
+    while len(found) < count:
+        try:
+            found.append(from_presentation(_random_presentation(rng), cap=12))
+        except (LikelyInfinite, UnsupportedPresentation):
+            pass
+    return found
+
+
+def test_relatively_free_answers_as_the_scan_does():
+    # each model with the most generators of its F_k that the test builds: at
+    # 257 elements F_2 is past the cell cap, so counter:255 and 256 stop at k = 1
+    models = ([(named_monoid(name), k) for name, k in (
+        ("D2", 3), ("R", 3), ("Rop", 3), ("RxRop", 2), ("group:4", 3), ("lrb:3", 3),
+        ("counter:255", 1), ("counter:256", 1))] + [(m, 3) for m in _seeded_monoids(6)])
+    keeping = {}  # (model, k) -> an equal monoid that keeps only its F_k
+    seen = set()
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(st.integers(0, len(models) - 1), st.data())
+    def check(which, data):
+        m, most = models[which]
+        k = data.draw(st.integers(1, most), label="k")
+        if (which, k) not in keeping:
+            keeping[which, k] = _twin(m)
+            relatively_free(keeping[which, k], k)
+        letters = data.draw(st.lists(st.sampled_from("abtxyz"), min_size=1, max_size=k,
+                                     unique=True), label="letters")
+        words = st.text(alphabet="".join(letters), max_size=6)
+        if data.draw(st.booleans(), label="powers"):
+            # powers up to past the order, for the counters' last elements
+            pre, post = data.draw(words, label="pre"), data.draw(words, label="post")
+            c = data.draw(st.sampled_from(letters), label="c")
+            a, b = (data.draw(st.one_of(st.integers(0, 8), st.integers(250, 260)), label=e)
+                    for e in "ab")
+            ident = Identity(pre + c * a + post, pre + c * b + post)
+        else:
+            ident = Identity(data.draw(words, label="u"), data.draw(words, label="v"))
+        plain = _twin(m)
+        expected = _first_violation(plain, ident)
+        seen.add(expected is None)
+        assert find_counterexample(keeping[which, k], ident) == expected
+        assert find_counterexample(plain, ident) == expected
+        assert plain._free == {}  # checking builds no F_k
+
+    check()
+    assert seen == {True, False}
+
+
+def test_relatively_free_is_kept_per_k_and_refused_past_the_cap():
+    m = _twin(named_monoid("lrb:3"))
+    f3 = relatively_free(m, 3)
+    assert relatively_free(m, 3) is f3 and relatively_free(m, 2) is not f3
+    # the free left regular band on three letters is lrb:3 itself
+    assert len(f3) == 16 and f3.element("yxy", "xyz") == f3.element("yx", "xyz")
+    assert len(relatively_free(_twin(named_monoid("group:3")), 2)) == 9
+    assert [len(relatively_free(cyclic_counter(c), 1)) for c in (2, 3, 4, 5)] == [3, 4, 5, 6]
+    rxr = _twin(named_monoid("RxRop"))  # 49^3 cells a vector, about 18 M in all
+    with pytest.raises(SearchCapExceeded, match=f"cap of {monoids._FREE_CELLS} cells"):
+        relatively_free(rxr, 3)
+    assert rxr._free == {}
+    # a vector past the cap is refused before anything is built
+    with pytest.raises(SearchCapExceeded, match="cap of"):
+        relatively_free(rxr, 5)
+    # an identity with more letters than F_k has generators is scanned
+    relatively_free(m, 1)
+    ident = parse_identity("xyzt=yxzt")
+    assert find_counterexample(m, ident) == _first_violation(m, ident) is not None
+
+
+_CONSTRUCTIONS = {
+    "from_presentation": lambda: from_presentation(R_PRES),
+    "from_table": lambda: from_table(["1", "e"], [["1", "e"], ["e", "e"]], "1"),
+    "direct_product": lambda: direct_product(cyclic_counter(2), cyclic_group(2)),
+    "opposite": lambda: opposite(from_presentation(R_PRES)),
+    "free_lrb_monoid": lambda: free_lrb_monoid(2),
+    # a given array already in the stored dtype is kept, and made read-only
+    "FiniteMonoid": lambda: FiniteMonoid(["1"], np.zeros((1, 1), dtype=np.uint8), 0),
+}
+
+
+@pytest.mark.parametrize("path", sorted(_CONSTRUCTIONS))
+def test_monoid_tables_are_read_only_on_every_construction_path(path):
+    m = _CONSTRUCTIONS[path]()
+    with pytest.raises(ValueError, match="read-only"):
+        m.table[0, 0] = m.table[0, 0]
+    m.validate()
 
 
 @pytest.mark.parametrize("text, witness", [

@@ -1,5 +1,6 @@
 """Catalog entries, decision rules and isoterm helpers."""
 
+import itertools
 import os
 import random
 import subprocess
@@ -29,6 +30,8 @@ from monvar.varieties import (
     UNKNOWN,
     _CYCLIC_RULES,
     _POOL,
+    _W_SHAPES,
+    OUTSIDE,
     Bounds,
     VarietySpec,
     catalog,
@@ -158,6 +161,55 @@ def test_membership_in_w():
     assert membership_in_W("") == "outside"
     assert membership_in_W("y3xt2z4y2t5xz2") != "W1"  # not parsed, raw letters only
     assert membership_in_W("yyyx" + "tt" + "zzzz" + "yy" + "ttttt" + "x" + "zz") == "W1"
+
+
+def _membership_by_runs(word):
+    """membership_in_W by its definition: the word's maximal runs follow a
+    shape's letters, an exact run of length 1 and a free run of 2 or more."""
+    runs = [(c, len(list(g))) for c, g in itertools.groupby(word)]
+    for label, shape in _W_SHAPES:
+        if len(runs) == len(shape) and all(
+                c == sc and (n == 1 if exact else n >= 2)
+                for (c, n), (sc, exact) in zip(runs, shape)):
+            return label
+    return OUTSIDE
+
+
+_RUN = st.tuples(st.sampled_from("xyzt"), st.integers(1, 4))
+
+
+@st.composite
+def _near_w_runs(draw):
+    """The runs of a family member, then at most one run changed, dropped or added."""
+    _, shape = draw(st.sampled_from(_W_SHAPES))
+    runs = [(c, 1 if exact else draw(st.integers(2, 4))) for c, exact in shape]
+    i = draw(st.integers(0, len(runs) - 1))
+    edit = draw(st.sampled_from(["none", "length", "letter", "drop", "add"]))
+    c, n = runs[i]
+    if edit == "length":
+        runs[i] = (c, draw(st.integers(1, 4)))
+    elif edit == "letter":
+        runs[i] = (draw(st.sampled_from("xyzt")), n)
+    elif edit == "drop":
+        del runs[i]
+    elif edit == "add":
+        runs.insert(i, draw(_RUN))
+    return runs
+
+
+def test_membership_in_w_matches_its_run_definition():
+    seen = set()
+
+    @settings(max_examples=600, deadline=None, derandomize=True, database=None)
+    @given(st.one_of(_near_w_runs(), st.lists(_RUN, max_size=12)))
+    def check(runs):
+        word = "".join(c * n for c, n in runs)
+        label = _membership_by_runs(word)
+        seen.add(label)
+        assert membership_in_W(word) == label
+
+    check()
+    assert seen == {"W1", "W2", OUTSIDE}
 
 
 def test_enumerate_w():
