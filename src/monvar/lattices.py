@@ -322,13 +322,14 @@ class Partition:
 
     @classmethod
     def of(cls, blocks) -> "Partition":
-        blocks = frozenset(frozenset(b) for b in blocks)
+        blocks = [list(b) for b in blocks]
+        # the points counted as given, so a repeated block is a repeat
         seen = sorted(e for b in blocks for e in b)
         if not blocks or any(not b for b in blocks):
             raise ValueError("blocks must be nonempty")
         if seen != list(range(1, len(seen) + 1)):
             raise ValueError("blocks must partition 1..k without repeats or gaps")
-        return cls(blocks)
+        return cls(frozenset(frozenset(b) for b in blocks))
 
     @property
     def ground_size(self) -> int:

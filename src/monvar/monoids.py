@@ -6,10 +6,14 @@ uint8 up to 256 elements, uint16 up to 65 536, uint32 above), each built
 in that dtype rather than cast at the end.  Presentations with zero use
 factor-exclusion normal forms (a word is zero iff it contains a relator
 factor); general relations are oriented length-lexicographically and
-applied to a fixpoint.  The table is composed from the right Cayley graph
-of the normal forms (Froidure & Pin 1997), and a table that breaks a
-defining relation or associativity is refused.  Associativity is
-checked with Light's test over a generating set, O(n^2) per generator.
+applied to a fixpoint.  One breadth-first enumerator,
+`_right_cayley_graph` (Froidure & Pin 1997), finds the elements and the
+right Cayley graph of every monoid given by generators: the normal forms
+of a presentation, the initial parts of the free left regular band and
+the vectors of a relatively free monoid.  A table is composed from that
+graph, and one that breaks a defining relation or associativity is
+refused.  Associativity is checked with Light's test over a generating
+set, O(n^2) per generator.
 A stored table is read-only.  Identities are checked over the assignment
 cube in lexicographic chunks of at most 2^20 cells, stopping at the first
 violation, so memory does not grow with n^k.  `relatively_free(m, k)`
@@ -223,17 +227,54 @@ def _find_zero(m: FiniteMonoid) -> int | None:
     return None
 
 
+def _right_cayley_graph(start, products, limit: float, refusal: Exception | None):
+    """Breadth-first enumeration of a monoid given by generators (Froidure &
+    Pin 1997): (elements, right, reached_by), elements in the order reached.
+
+    Element 0 is the identity, keyed `start`; `products(key)` gives the keys
+    of an element times each generator in turn, None for the zero, which is
+    written -1 and kept out of the list.  `right[i][g]` is element i times
+    generator g; `reached_by[j - 1] = (i, g)` says that element j was first
+    reached as element i < j times generator g.  `refusal` is raised rather
+    than list more than `limit` elements."""
+    elements = [start]
+    found = {start: 0, None: -1}
+    right, reached_by = [], []
+    for i, key in enumerate(elements):  # elements grows while it is read: the BFS queue
+        row = []
+        for g, product in enumerate(products(key)):
+            j = found.get(product)
+            if j is None:
+                if len(elements) >= limit:
+                    raise refusal
+                j = found[product] = len(elements)
+                elements.append(product)
+                reached_by.append((i, g))
+            row.append(j)
+        right.append(row)
+    return elements, right, reached_by
+
+
+def _walk(right, word: str, letters) -> int:
+    """The element `word` reaches in `right`, letters[g] read as generator g."""
+    generator = {c: g for g, c in enumerate(letters)}
+    i = 0
+    for c in word:
+        i = right[i][generator[c]]
+    return i
+
+
 def from_presentation(pres: Presentation, cap: int = 10000) -> FiniteMonoid:
     """Enumerate normal forms breadth-first and tabulate multiplication.
 
     Each relation u = v is oriented length-lexicographically, larger side to
     smaller, and the rules are applied to a fixpoint; a word containing the
-    left side of a relation u = 0 is the zero.  Only the right multiples of
-    each normal form by the generators are reduced (the right Cayley graph);
-    every table column is composed from the column of the element's BFS
-    parent.  A table that breaks a defining relation, on which a generator
-    acts unlike its own normal form, or that is not associative is refused
-    with UnsupportedPresentation: the oriented rules were not confluent.
+    left side of a relation u = 0 is the zero, the last element.  Only the
+    right multiples of each normal form by the generators are reduced
+    (`_right_cayley_graph`).  A table that breaks a defining relation, on
+    which a generator acts unlike its own normal form, or that is not
+    associative is refused with UnsupportedPresentation: the oriented rules
+    were not confluent.
     """
     zero_relators = [lhs for lhs, rhs in pres.relations if rhs is None]
     rules = []
@@ -256,24 +297,9 @@ def from_presentation(pres: Presentation, cap: int = 10000) -> FiniteMonoid:
                 return word
 
     gens = pres.generators
-    elems = [""]
-    pos = {"": 0}
-    right = []  # right[i][k]: index of elems[i]*gens[k], -1 for the zero
-    reached_by = []  # reached_by[j - 1] = (i, k): elems[j] was found as elems[i]*gens[k]
-    for i, base in enumerate(elems):  # elems grows while it is read: the BFS queue
-        row = []
-        for k, g in enumerate(gens):
-            nf = reduce(base + g)
-            if nf is not None and nf not in pos:
-                if len(elems) >= cap:
-                    raise LikelyInfinite(
-                        f"presentation produced more than {cap} normal forms")
-                pos[nf] = len(elems)
-                elems.append(nf)
-                reached_by.append((i, k))
-            row.append(-1 if nf is None else pos[nf])
-        right.append(row)
-
+    elems, right, reached_by = _right_cayley_graph(
+        "", lambda w: [reduce(w + g) for g in gens], cap,
+        LikelyInfinite(f"presentation produced more than {cap} normal forms"))
     names = [format_word(w) for w in elems]
     right = np.array(right, dtype=np.int32).reshape(len(elems), len(gens))
     zero = None
@@ -283,16 +309,8 @@ def from_presentation(pres: Presentation, cap: int = 10000) -> FiniteMonoid:
         right = np.vstack([right, np.full((1, len(gens)), zero, dtype=np.int32)])
         right[right < 0] = zero
 
-    letter = {g: k for k, g in enumerate(gens)}
-
-    def walk(word):
-        i = 0
-        for c in word:
-            i = int(right[i, letter[c]])
-        return i
-
     for lhs, rhs in pres.relations:
-        if walk(lhs) != (zero if rhs is None else walk(rhs)):
+        if _walk(right, lhs, gens) != (zero if rhs is None else _walk(right, rhs, gens)):
             shown = "0" if rhs is None else format_word(rhs)
             raise UnsupportedPresentation(
                 f"the table breaks the defining relation {format_word(lhs)} = {shown};"
@@ -313,13 +331,10 @@ def from_presentation(pres: Presentation, cap: int = 10000) -> FiniteMonoid:
 
 
 def _cayley_table(right: np.ndarray, reached_by) -> np.ndarray:
-    """Multiplication table from the right Cayley graph of a monoid.
-
-    right[i, k] is element i times generator k; reached_by[j - 1] = (i, k)
-    says that element j is element i < j times generator k.  Element 0 is
-    the identity.  A last element that reached_by does not list is the zero,
-    and right must send it to itself.  The table is built in index_dtype(n),
-    column by column, and then transposed in place, so it exists once."""
+    """Multiplication table from a right Cayley graph (`_right_cayley_graph`),
+    right as an n x generators array; a last element missing from reached_by
+    is the zero, which right sends to itself.  Built in index_dtype(n), column
+    by column, then transposed in place, so the table exists once."""
     n = len(right)
     dtype = index_dtype(n)
     action = np.ascontiguousarray(right.T, dtype=dtype)
@@ -388,14 +403,9 @@ def free_lrb_monoid(k: int) -> FiniteMonoid:
     if not 1 <= k <= 6:  # lrb:7 has 13 700 elements, past from_presentation's cap
         raise ValueError("free_lrb_monoid needs 1 <= k <= 6")
     letters = _INJECTIVE_LETTERS[:k]
-    elems = [""]
-    for r in range(1, k + 1):
-        elems.extend("".join(p) for p in itertools.permutations(letters, r))
-    pos = {w: i for i, w in enumerate(elems)}
-    right = np.array([[pos[initial_part(w + c)] for c in letters] for w in elems],
-                     dtype=np.int32)
-    reached_by = [(pos[w[:-1]], letters.index(w[-1])) for w in elems[1:]]
-    return FiniteMonoid(["1"] + elems[1:], _cayley_table(right, reached_by), one=0)
+    elems, right, reached_by = _right_cayley_graph(
+        "", lambda w: [initial_part(w + c) for c in letters], math.inf, None)
+    return FiniteMonoid(["1"] + elems[1:], _cayley_table(np.array(right), reached_by), one=0)
 
 
 def cyclic_counter(n: int) -> FiniteMonoid:
@@ -461,10 +471,9 @@ class RelativelyFree:
     takes under every assignment of the letters to elements of M: n^k
     cells, the assignments in lexicographic order with the letters sorted,
     stored as bytes in the table's dtype.  Element 0 is the constant vector
-    of `m.one` and generator g is the cube's g-th projection; the elements
-    are found breadth-first, each right multiple by one gather, and
-    `right[i][g]` is element i times generator g, the right Cayley graph
-    (Froidure & Pin 1997).  Two words over k letters are the same element
+    of `m.one`, generator g is the cube's g-th projection, each right
+    multiple is one gather, and `right` is the right Cayley graph of
+    `_right_cayley_graph`.  Two words over k letters are the same element
     iff M satisfies the identity between them.  The build is refused with
     SearchCapExceeded once the vectors would pass _FREE_CELLS cells."""
 
@@ -474,41 +483,28 @@ class RelativelyFree:
         self.monoid, self.k = m, k
         self._shape = (len(m),) * k
         cells = math.prod(self._shape)
-        self._refuse_past_cap(cells)
+        refusal = SearchCapExceeded(
+            f"F_{k} of a monoid of order {len(m)} needs more than"
+            f" the cap of {_FREE_CELLS} cells")
+        if cells > _FREE_CELLS:
+            raise refusal
         dtype = m.table.dtype
         projections = np.indices(self._shape, dtype=dtype).reshape(k, cells)
-        self._vectors = [np.full(cells, m.one, dtype=dtype).tobytes()]
-        found = {self._vectors[0]: 0}
-        self.right: list[list[int]] = []
-        for vector in self._vectors:  # grows while it is read: the BFS queue
-            vector = np.frombuffer(vector, dtype=dtype)
-            row = []
-            for projection in projections:
-                key = gather(m.table, vector, projection).tobytes()
-                j = found.get(key)
-                if j is None:
-                    self._refuse_past_cap((len(self._vectors) + 1) * cells)
-                    j = found[key] = len(self._vectors)
-                    self._vectors.append(key)
-                row.append(j)
-            self.right.append(row)
 
-    def _refuse_past_cap(self, cells: int):
-        if cells > _FREE_CELLS:
-            raise SearchCapExceeded(
-                f"F_{self.k} of a monoid of order {len(self.monoid)} needs more than"
-                f" the cap of {_FREE_CELLS} cells")
+        def products(vector):
+            vector = np.frombuffer(vector, dtype=dtype)
+            return [gather(m.table, vector, p).tobytes() for p in projections]
+
+        self._vectors, self.right, _ = _right_cayley_graph(
+            np.full(cells, m.one, dtype=dtype).tobytes(), products,
+            _FREE_CELLS // cells, refusal)
 
     def __len__(self):
         return len(self._vectors)
 
     def element(self, word: str, letters) -> int:
         """The element of `word`, the g-th of `letters` sent to generator g."""
-        generator = {c: g for g, c in enumerate(letters)}
-        i = 0
-        for c in word:
-            i = self.right[i][generator[c]]
-        return i
+        return _walk(self.right, word, letters)
 
     def counterexample(self, ident: Identity) -> dict[str, str] | None:
         """find_counterexample's answer for an identity of at most k letters.

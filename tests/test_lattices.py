@@ -447,8 +447,10 @@ def test_partition_basics():
     assert p.ground_size == 4
     assert p.refines(Partition.of([[1, 2, 3], [4]]))
     assert not Partition.of([[1, 2, 3], [4]]).refines(p)
-    with pytest.raises(ValueError):
-        Partition.of([[1, 2], [2, 3]])
+    # a point in two blocks, and a block given twice, are both repeats
+    for blocks in ([[1, 2], [2, 3]], [[1, 2], [1, 2]], [[1], [1], [2]]):
+        with pytest.raises(ValueError, match="without repeats"):
+            Partition.of(blocks)
     with pytest.raises(ValueError):
         Partition.of([[1], [3]])
     with pytest.raises(ValueError):

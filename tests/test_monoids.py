@@ -453,15 +453,18 @@ def test_free_lrb_monoid():
 
 
 def test_builtin_tables_match_pairwise_construction():
-    for k in range(1, 5):
+    # the words with distinct letters, by length and then in permutation
+    # order: the reference for the breadth-first enumeration
+    for k in range(1, 6):
         elems = [""] + ["".join(p) for r in range(1, k + 1)
                         for p in itertools.permutations("xyztabcd"[:k], r)]
         pos = {w: i for i, w in enumerate(elems)}
         table = np.array([[pos[initial_part(u + v)] for v in elems] for u in elems],
                          dtype=np.int32)
-        m = free_lrb_monoid(k)  # at most 65 elements
-        assert m.table.dtype == np.uint8
-        assert m.table.tobytes() == table.astype(np.uint8).tobytes()
+        m = free_lrb_monoid(k)  # k = 5 has 326 elements, past uint8
+        assert m.names == ("1", *elems[1:])
+        assert m.table.dtype == index_dtype(len(m))
+        assert m.table.tobytes() == table.astype(index_dtype(len(m))).tobytes()
     # order n + 1: 256 elements still fit uint8, 257 need uint16
     for n in (*range(1, 30), 255, 256):
         table = np.array([[n if i == n or j == n or i + j >= n else i + j
@@ -831,7 +834,7 @@ def test_relatively_free_answers_as_the_scan_does():
     assert seen == {True, False}
 
 
-def test_relatively_free_is_kept_per_k_and_refused_past_the_cap():
+def test_relatively_free_is_kept_per_k_and_refused_past_the_cap(monkeypatch):
     m = _twin(named_monoid("lrb:3"))
     f3 = relatively_free(m, 3)
     assert relatively_free(m, 3) is f3 and relatively_free(m, 2) is not f3
@@ -839,6 +842,16 @@ def test_relatively_free_is_kept_per_k_and_refused_past_the_cap():
     assert len(f3) == 16 and f3.element("yxy", "xyz") == f3.element("yx", "xyz")
     assert len(relatively_free(_twin(named_monoid("group:3")), 2)) == 9
     assert [len(relatively_free(cyclic_counter(c), 1)) for c in (2, 3, 4, 5)] == [3, 4, 5, 6]
+    # F_1 of counter c is c + 1 vectors of c + 1 cells: it fits a cap of
+    # exactly (c + 1)^2 cells and is refused one cell below
+    for c in (2, 5):
+        monkeypatch.setattr(monoids, "_FREE_CELLS", (c + 1) ** 2)
+        f1 = relatively_free(cyclic_counter(c), 1)
+        assert len(f1) == c + 1 and all(len(v) == c + 1 for v in f1._vectors)
+        monkeypatch.setattr(monoids, "_FREE_CELLS", (c + 1) ** 2 - 1)
+        with pytest.raises(SearchCapExceeded, match=f"cap of {(c + 1) ** 2 - 1} cells"):
+            relatively_free(cyclic_counter(c), 1)
+    monkeypatch.undo()
     rxr = _twin(named_monoid("RxRop"))  # 49^3 cells a vector, about 18 M in all
     with pytest.raises(SearchCapExceeded, match=f"cap of {monoids._FREE_CELLS} cells"):
         relatively_free(rxr, 3)

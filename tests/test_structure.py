@@ -2,6 +2,8 @@
 
 import argparse
 import ast
+import importlib
+import importlib.util
 import inspect
 import re
 from pathlib import Path
@@ -163,6 +165,22 @@ def test_catalog_rule_tags_are_the_strings_the_trace_layer_reads():
         by_tag.setdefault(spec.rule, set()).add(spec.name)
     assert by_tag["finite-model"] == {"T", "D2", "R", "Rop", "RvRop"}
     assert by_tag["deduction-only"] == {"MON", "D", "E", "K", "Q", "B2", "B3", "Z:1:y"}
+
+
+def test_every_traced_name_resolves_to_a_callable():
+    # a traced benchmark run installs its wrappers through these names
+    path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for name, (module, attr) in spans.TRACED.items():
+        owner = importlib.import_module(module)
+        if "." in attr:  # a method, looked up on its class
+            cls_name, method = attr.split(".")
+            target = vars(getattr(owner, cls_name)).get(method)
+        else:
+            target = getattr(owner, attr, None)
+        assert callable(target), f"{name}: {module}.{attr} does not resolve"
 
 
 def _builtins(help_text):
