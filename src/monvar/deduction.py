@@ -151,19 +151,18 @@ def check_derivation(deriv: Derivation, sys: IdentitySystem, strict: bool = Fals
     """True iff every step uses an identity of the system and reconstructs
     its source and target words.  With strict=True a failing step raises
     DerivationError carrying its index."""
-    if not deriv.words or len(deriv.words) != len(deriv.steps) + 1:
-        if strict:
+    try:
+        if not deriv.words or len(deriv.words) != len(deriv.steps) + 1:
             raise DerivationError("word/step counts do not line up", -1)
-        return False
-    for i, step in enumerate(deriv.steps):
-        if step.identity not in sys.identities:
-            if strict:
+        for i, step in enumerate(deriv.steps):
+            if step.identity not in sys.identities:
                 raise DerivationError(f"step {i} uses an identity outside the system", i)
-            return False
-        if step.source != deriv.words[i] or step.target != deriv.words[i + 1]:
-            if strict:
+            if step.source != deriv.words[i] or step.target != deriv.words[i + 1]:
                 raise DerivationError(f"step {i} does not reconstruct its words", i)
-            return False
+    except DerivationError:
+        if strict:
+            raise
+        return False
     return True
 
 

@@ -23,11 +23,8 @@ subscripting would first cast it to intp.
 
 The meet and join tables are symmetric, so the element tests read rows of
 them, never columns.  The modular failures of an element are its costandard
-failures at a <= b, so `classify_element` builds one n x n matrix for both.
-The cancellable test first looks for a repeated pair (x v a, x ^ a) by a
-key computed in `index_dtype(n * n)` (a uint8 product would wrap past 16
-elements), and builds the n x n matrix of equal pairs only to name a
-witness.
+failures at a <= b, so `classify_element` builds one n x n matrix for both;
+the cancellable test builds the n x n matrix of equal pairs (x v a, x ^ a).
 """
 
 from __future__ import annotations
@@ -90,6 +87,8 @@ class FiniteLattice:
     def _set_order(self, names, leq):
         """Check that `leq` is a partial order on distinct `names`, and keep both."""
         names = tuple(names)
+        if not names:
+            raise ValueError("a lattice needs at least one element")
         if len(set(names)) != len(names):
             raise ValueError("element names must be distinct")
         n = len(names)
@@ -218,16 +217,10 @@ def _costandard_failures(lat: FiniteLattice, x: int):
 
 
 def _cancellable(lat: FiniteLattice, x: int) -> Check:
-    """Joining and meeting with x must separate distinct elements: the n
-    pairs (x v a, x ^ a) are checked for repeats by the key
-    (x v a) * n + (x ^ a), a position in the n x n table, computed in
-    `index_dtype(n * n)`; the n x n matrix of equal pairs is built only for
-    the witness."""
+    """Joining and meeting with x must separate distinct elements: the
+    witness is the first a != b with equal pairs (x v a, x ^ a) and
+    (x v b, x ^ b), read off the n x n matrix of equal pairs."""
     jx, mx = lat.join[x], lat.meet[x]
-    n = len(lat)
-    key = np.sort(np.multiply(jx, n, dtype=index_dtype(n * n)) + mx)
-    if (key[1:] != key[:-1]).all():
-        return _PASS
     same = (jx[:, None] == jx) & (mx[:, None] == mx)
     np.fill_diagonal(same, False)
     return _verdict(lat, same)

@@ -163,31 +163,25 @@ def model_contains_basis(m: monoids.FiniteMonoid, basis: IdentitySystem) -> bool
     return all(monoids.find_counterexample(m, ident) is None for ident in basis)
 
 
-# name -> the fixed entry's settings, built on the entry's first lookup; each
-# model is a builder, called on the first read of the spec's `model`
-_FIXED = {
-    "T": lambda: dict(basis=system("x=1"), model=_named("group:1"), rule=RULE_MODEL),
-    "SL": lambda: dict(basis=system("x2=x", "xy=yx"), model=_SEMILATTICE.monoid,
-                       rule=RULE_SL),
-    "COM": lambda: dict(basis=system("xy=yx"), rule=RULE_COM),
-    "MON": lambda: dict(basis=IdentitySystem(frozenset(), "MON")),
-    "D": lambda: dict(basis=system("x2=x3", "x2y=xyx", "xyx=yx2", name="D")),
-    "D2": lambda: dict(basis=system("x3=x2", *_D2_RVROP_COMMON, name="D2"),
-                       model=_named("D2"), rule=RULE_MODEL),
-    "E": lambda: dict(basis=system("x2=x3", "x2y=xyx", "x2y2=y2x2", name="E")),
-    "K": lambda: dict(basis=system(K_IDENTITY, name="K")),
-    "LRB": lambda: dict(basis=system("xy=xyx"), model=_named("lrb:3"), rule=RULE_LRB),
-    "Q": lambda: dict(basis=system("yxyzxy=yxzxyxz", name="Q")),
-    "R": lambda: dict(model=_named("R"), rule=RULE_MODEL),
-    "Rop": lambda: dict(model=_named("Rop"), rule=RULE_MODEL),
-    "RvRop": lambda: dict(basis=system("x4=x3", *_D2_RVROP_COMMON, name="RvRop"),
-                          model=_named("RxRop"), rule=RULE_MODEL),
-}
-
-
-@lru_cache(maxsize=None)
-def _fixed_entry(name: str) -> VarietySpec:
-    return VarietySpec(name, **_FIXED[name]())
+# name -> the fixed entry, built when the module runs; each model is a
+# builder, called on the first read of the spec's `model`
+_FIXED = {spec.name: spec for spec in (
+    VarietySpec("T", system("x=1"), model=_named("group:1"), rule=RULE_MODEL),
+    VarietySpec("SL", system("x2=x", "xy=yx"), model=_semilattice_2, rule=RULE_SL),
+    VarietySpec("COM", system("xy=yx"), rule=RULE_COM),
+    VarietySpec("MON", IdentitySystem(frozenset(), "MON")),
+    VarietySpec("D", system("x2=x3", "x2y=xyx", "xyx=yx2", name="D")),
+    VarietySpec("D2", system("x3=x2", *_D2_RVROP_COMMON, name="D2"),
+                model=_named("D2"), rule=RULE_MODEL),
+    VarietySpec("E", system("x2=x3", "x2y=xyx", "x2y2=y2x2", name="E")),
+    VarietySpec("K", system(K_IDENTITY, name="K")),
+    VarietySpec("LRB", system("xy=xyx"), model=_named("lrb:3"), rule=RULE_LRB),
+    VarietySpec("Q", system("yxyzxy=yxzxyxz", name="Q")),
+    VarietySpec("R", model=_named("R"), rule=RULE_MODEL),
+    VarietySpec("Rop", model=_named("Rop"), rule=RULE_MODEL),
+    VarietySpec("RvRop", system("x4=x3", *_D2_RVROP_COMMON, name="RvRop"),
+                model=_named("RxRop"), rule=RULE_MODEL),
+)}
 
 
 def variety_C(n: int) -> VarietySpec:
@@ -229,14 +223,14 @@ _FAMILIES = {"C": variety_C, "B": variety_B, "A": variety_A}
 def lookup(name: str) -> VarietySpec:
     """Resolve a catalog or family name (C7, B2, A5, Z:2:xy, underscores ok).
 
-    A fixed entry is built on its first lookup, and every later lookup
-    returns that same spec; a family name builds a new spec each time.  No
-    lookup builds a monoid: a spec's generating monoid is built on the
-    first read of its `model`.  A finite-model verdict reads it, and so does
-    an LRB failure, to name its counterexample; no cyclic rule verdict does."""
+    A fixed entry is built when the module runs, and every lookup returns
+    that same spec; a family name builds a new spec each time.  No lookup
+    builds a monoid: a spec's generating monoid is built on the first read
+    of its `model`.  A finite-model verdict reads it, and so does an LRB
+    failure, to name its counterexample; no cyclic rule verdict does."""
     key = name.replace("_", "").strip()
     if key in _FIXED:
-        return _fixed_entry(key)
+        return _FIXED[key]
     m = _FAMILY.match(key)
     if m:
         return _FAMILIES[m.group(1)](int(m.group(2)))
@@ -255,7 +249,7 @@ def lookup(name: str) -> VarietySpec:
 def catalog() -> dict[str, VarietySpec]:
     """All fixed named entries plus the smallest family instances, their
     models unbuilt, as `lookup` returns them."""
-    out = {name: _fixed_entry(name) for name in _FIXED}
+    out = dict(_FIXED)
     for spec in (variety_C(2), variety_C(3), variety_B(2), variety_A(2)):
         out[spec.name] = spec
     return dict(sorted(out.items()))

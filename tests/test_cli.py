@@ -1,16 +1,9 @@
 """Exit codes and printed output of the command line front end."""
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import pytest
 
 import monvar
 from monvar.cli import main
-
-SRC = str(Path(monvar.__file__).resolve().parents[1])
 
 
 def run(capsys, *argv):
@@ -395,7 +388,7 @@ def test_deterministic_output(capsys):
     assert a == b
 
 
-def test_verify_paper_reports_a_broken_fact_under_python_O():
+def test_verify_paper_reports_a_broken_fact_under_python_O(run_fresh):
     # python -O strips assert statements; a check must still fail when
     # its fact is false
     script = "\n".join([
@@ -406,10 +399,7 @@ def test_verify_paper_reports_a_broken_fact_under_python_O():
         "verify.CHECKS = [c for c in verify.CHECKS if c[0] == 'fig2-modular-not-distributive']",
         "sys.exit(cli.main(['verify-paper']))",
     ])
-    path = [SRC] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
-    done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
-                          capture_output=True, text=True, timeout=120)
+    done = run_fresh(script, options=["-O"])
     assert done.returncode == 1, done.stderr
     lines = done.stdout.splitlines()
     assert "CHECK fig2-modular-not-distributive fail" in lines
@@ -452,7 +442,7 @@ def test_verify_paper_builds_a_failure_message_inside_a_loop(monkeypatch, capsys
     (["derive", "x3", "x2", "--system", "D2"], False),
     (["check", "LRB", "xy=yx"], True),
 ])
-def test_only_table_commands_execute_numpy(argv, loads_numpy):
+def test_only_table_commands_execute_numpy(argv, loads_numpy, run_fresh):
     script = "\n".join([
         "import sys",
         "from monvar.cli import main",
@@ -460,10 +450,7 @@ def test_only_table_commands_execute_numpy(argv, loads_numpy):
         "print('numpy._core' in sys.modules)",
         "sys.exit(code)",
     ])
-    path = [SRC] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
-    done = subprocess.run([sys.executable, "-c", script, *argv], env=env,
-                          capture_output=True, text=True, timeout=120)
+    done = run_fresh(script, *argv)
     assert done.returncode in (0, 1) and not done.stderr, done.stderr  # holds or fails
     assert done.stdout.splitlines()[-1] == str(loads_numpy)
 
@@ -503,11 +490,8 @@ print(code, "dataclasses" in sys.modules and not had_dataclasses,
     (["check", "SL", "x2=x2y"], 1, {"words", "deduction", "varieties"}),
 ])
 def test_import_registers_every_submodule_and_preceq_runs_only_the_word_ones(
-        argv, code, may_run):
-    path = [SRC] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
-    done = subprocess.run([sys.executable, "-c", _CONTRACT, *argv], env=env,
-                          capture_output=True, text=True, timeout=120)
+        argv, code, may_run, run_fresh):
+    done = run_fresh(_CONTRACT, *argv)
     assert done.returncode == 0, done.stderr
     printed = done.stdout.splitlines()[-1].split()
     assert printed[0] == str(code)

@@ -81,6 +81,8 @@ def test_one_step_rewrites_frozen():
     out = one_step_rewrites("xxy", SIGMA, 4)
     assert "xxxy" in out
     assert out == {"xxy", "xxxy"}
+    # a trivial identity rewrites nothing
+    assert expand("xxyx", system("x=x", "x2=x3"), 6) == expand("xxyx", system("x2=x3"), 6)
 
 
 def _two_branch_expand(word, sys, max_len):
@@ -285,6 +287,16 @@ def test_check_derivation_rejects_corruption():
     )
     assert check_derivation(foreign, system("x2=x3"))
     assert not check_derivation(foreign, SIGMA)
+    with pytest.raises(DerivationError, match="step 0 uses an identity outside the system") as err:
+        check_derivation(foreign, SIGMA, strict=True)
+    assert err.value.index == 0
+    # the words and steps must line up, one more word than steps
+    for words in ((), ("xxy",), ("xxy", "xxxy", "yxx", "yxx")):
+        miscounted = Derivation(words=words, steps=(s1, s2))
+        assert not check_derivation(miscounted, SIGMA)
+        with pytest.raises(DerivationError, match="word/step counts do not line up") as err:
+            check_derivation(miscounted, SIGMA, strict=True)
+        assert err.value.index == -1
 
 
 def test_derivable_examples():

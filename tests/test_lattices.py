@@ -58,6 +58,14 @@ def test_index_by_name_and_by_position():
         assert exc.value.args[0] == message
     with pytest.raises(ValueError, match="element names must be distinct"):
         FiniteLattice.from_covers(["a", "a"], [])
+    with pytest.raises(ValueError, match="a lattice needs at least one element"):
+        FiniteLattice.from_covers([], [])
+    for names, leq, message in (
+            ("ab", [[True]], "order matrix shape does not match element count"),
+            ("ab", [[True, True], [False, False]], "order matrix must be reflexive"),
+            ("abc", [[1, 1, 0], [0, 1, 1], [0, 0, 1]], "order matrix must be transitively closed")):
+        with pytest.raises(ValueError, match=message):
+            FiniteLattice(list(names), leq)
 
 
 def test_from_covers_rejects_bowtie():
@@ -234,10 +242,11 @@ def _birkhoff(lat):
     return lat
 
 
-# down-set lattices of 17 to 120 elements: past 16 elements a uint8
-# join[x] * n would wrap.  They are distributive, so `classify_element`
-# answers them from that verdict; the tests below run the element kernel,
-# `_element_report`, on them as well.
+# down-set lattices of 17 to 120 elements: past 16 elements the n * n cell
+# positions that `gather` computes need uint16, where a product taken in
+# the tables' uint8 would wrap.  They are distributive, so
+# `classify_element` answers them from that verdict; the tests below run
+# the element kernel, `_element_report`, on them as well.
 _DOWNSETS = st.integers(5, 7).flatmap(lambda m: st.lists(
     st.tuples(st.integers(0, m - 1), st.integers(0, m - 1)).filter(lambda r: r[0] < r[1]),
     max_size=m).map(lambda rel: _downset_lattice(m, rel))).filter(
@@ -555,6 +564,12 @@ def test_parse_lattice():
         parse_lattice("cover: a < b\n")
     with pytest.raises(ParseError):
         parse_lattice("elems: a b\ncover: a < q\n")
+    for text, message in (("elems: a\nelems: b\n", "duplicate elems: line"),
+                          ("elems:\n", "elems: line lists no elements"),
+                          ("elems: a b\ncover: a b\n", "cover line must read 'cover: a < b'"),
+                          ("elems: a\nlink: a\n", "unrecognized line: 'link: a'")):
+        with pytest.raises(ParseError, match=message):
+            parse_lattice(text)
     with pytest.raises(NotALattice):
         parse_lattice("elems: a b c d\n"
                       "cover: a < c\ncover: a < d\ncover: b < c\ncover: b < d\n")

@@ -354,6 +354,7 @@ def test_from_table_and_invalid_tables():
                    [["1", "a", "b"], ["a", "a", "a"], ["b", "b", "a"]], "1")
     with pytest.raises(InvalidTable):
         from_table(["1", "x"], [["1", "q"], ["x", "x"]], "1")
+    assert from_table(["1", "g"], [["1", "g"], ["g", "1"]], "1").zero is None
 
 
 def test_index_finds_each_name_and_refuses_unknown_or_repeated_ones():
@@ -382,6 +383,8 @@ def test_validate_range_checks_identity_and_zero():
         FiniteMonoid(["1"], [[0]], one=3)
     with pytest.raises(InvalidTable, match="zero index 5 is out of range"):
         FiniteMonoid(["1", "e"], [[0, 1], [1, 1]], one=0, zero=5)
+    with pytest.raises(InvalidTable, match="'1' is not absorbing \\(witness 'e'\\)"):
+        FiniteMonoid(["1", "e"], [[0, 1], [1, 1]], one=0, zero=0)
     # the last row is the identity, so a wrapped -1 would pass the table checks
     with pytest.raises(InvalidTable, match="identity index -1 is out of range"):
         FiniteMonoid(["e", "1"], [[0, 0], [0, 1]], one=-1)

@@ -1,18 +1,13 @@
 """Catalog entries, decision rules and isoterm helpers."""
 
 import itertools
-import os
 import random
-import subprocess
-import sys
 from dataclasses import fields
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import monvar
 from monvar.deduction import Derivation
 from monvar.monoids import (
     cyclic_counter,
@@ -41,6 +36,8 @@ from monvar.varieties import (
     lookup,
     membership_in_W,
     model_contains_basis,
+    variety_A,
+    variety_B,
     variety_Z,
 )
 from monvar.words import Identity, initial_part, occ, parse_identity
@@ -71,6 +68,11 @@ def test_lookup_families_and_normalization():
         lookup("Z:2")
     with pytest.raises(ValueError):
         lookup("C1")
+    for build, message in ((lambda: variety_B(0), "variety_B needs n >= 1"),
+                           (lambda: variety_A(0), "variety_A needs m >= 1"),
+                           (lambda: variety_Z(0, "y"), "variety_Z needs n >= 1")):
+        with pytest.raises(ValueError, match=message):
+            build()
 
 
 FIXED = ("T", "SL", "COM", "MON", "D", "D2", "E", "K", "LRB", "Q", "R", "Rop", "RvRop")
@@ -83,7 +85,7 @@ def test_fixed_entries_are_built_once():
         assert lookup(name) is lookup(name) is cat[name], name
 
 
-def test_looking_up_a_deduction_entry_builds_no_monoid():
+def test_looking_up_a_deduction_entry_builds_no_monoid(run_fresh):
     # named_monoid is a process-wide cache, so ask a fresh interpreter.  No
     # lookup builds a model and fixtures() parses no lattice, so numpy stays
     # unloaded; the first read of a model builds that one monoid
@@ -101,16 +103,12 @@ def test_looking_up_a_deduction_entry_builds_no_monoid():
         "d2 = lookup('D2').model",
         "print(named_monoid.cache_info().currsize, d2 is named_monoid('D2'))",
     ])
-    src = str(Path(monvar.__file__).resolve().parents[1])
-    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
-    done = subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True, timeout=120)
+    done = run_fresh(script)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines() == ["False", "0", "1 True"]
 
 
-def test_rule_models_are_built_on_their_first_read():
+def test_rule_models_are_built_on_their_first_read(run_fresh):
     # SL, C<n> and A<m> decide and name witnesses from occurrence counts, so
     # their specs build no monoid, and numpy stays unloaded, until `model`
     # is read; then every read, and every later lookup, sees one object
@@ -127,11 +125,7 @@ def test_rule_models_are_built_on_their_first_read():
         "assert lookup('SL').model is models[0] and lookup('C2').model is models[1]",
         "print(*(len(m) for m in models))",
     ])
-    src = str(Path(monvar.__file__).resolve().parents[1])
-    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
-    done = subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True, timeout=120)
+    done = run_fresh(script)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines() == ["False", "2 3 3"]
 
